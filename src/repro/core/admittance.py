@@ -18,7 +18,7 @@ drifting network, Figure 11).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, overload
 
 import numpy as np
 
@@ -83,8 +83,8 @@ class AdmittanceClassifier:
         Admission hysteresis: a flow is admitted only when its SVM
         margin is at least this value. 0 reproduces the paper; positive
         values trade recall for precision (a conservative operator),
-        negative values the reverse. The raw margin stays available via
-        :meth:`margin` for network selection.
+        negative values the reverse. :meth:`admits` applies it; the raw
+        margin stays available via :meth:`margin` for network selection.
     warm_start:
         Seed each online retrain's SMO solve with the previous
         solution's dual variables (see ``docs/performance.md``). On by
@@ -266,28 +266,36 @@ class AdmittanceClassifier:
     # ------------------------------------------------------------------
     # Online phase
     # ------------------------------------------------------------------
-    def classify(self, x: np.ndarray) -> int:
-        """+1 (admissible) or -1 (inadmissible) for an encoded arrival.
-
-        With a non-zero ``guard_margin`` the decision is thresholded on
-        the SVM margin rather than its sign.
-        """
+    def _margins(self, X: np.ndarray) -> np.ndarray:
+        """SVM margins of encoded arrivals, one per row of ``X`` (a single
+        1-D arrival is a batch of one). Every online query goes through
+        this one kernel pass."""
         if self._phase is not Phase.ONLINE:
             raise RuntimeError("classifier is still bootstrapping")
-        # Config sentinel set in __init__, never produced by arithmetic.
-        if self.guard_margin == 0.0:  # repro: noqa[NUM001]
-            return int(self._learner.predict_one(x))
-        return 1 if self._learner.margin_one(x) >= self.guard_margin else -1
+        return self._learner.decision_function(X)
+
+    @overload
+    def admits(self, margin: float) -> bool: ...
+
+    @overload
+    def admits(self, margin: np.ndarray) -> np.ndarray: ...
+
+    def admits(self, margin: Any) -> Any:
+        """The guard rule: admit when the margin reaches ``guard_margin``
+        (element-wise over an array of margins)."""
+        return margin >= self.guard_margin
 
     def margin(self, x: np.ndarray) -> float:
         """SVM margin of an encoded arrival (network selection)."""
-        if self._phase is not Phase.ONLINE:
-            raise RuntimeError("classifier is still bootstrapping")
-        value = self._learner.margin_one(x)
+        value = float(self._margins(x)[0])
         self.obs.histogram("admittance.margin", buckets=MARGIN_BUCKETS).observe(
             value
         )
         return value
+
+    def classify(self, x: np.ndarray) -> int:
+        """+1 (admissible) or -1 (inadmissible) for an encoded arrival."""
+        return 1 if self.admits(float(self._margins(x)[0])) else -1
 
     def classify_batch(self, X: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`classify` over rows of ``X``.
@@ -297,23 +305,7 @@ class AdmittanceClassifier:
         *fixed* model (between retrains, decisions depend on nothing but
         the model) avoid the per-sample dispatch overhead.
         """
-        if self._phase is not Phase.ONLINE:
-            raise RuntimeError("classifier is still bootstrapping")
-        margins = self._learner.decision_function(X)
-        # Config sentinel set in __init__, never produced by arithmetic.
-        if self.guard_margin == 0.0:  # repro: noqa[NUM001]
-            return np.where(margins >= 0, 1, -1)
-        return np.where(margins >= self.guard_margin, 1, -1)
-
-    def margin_batch(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`margin` over rows of ``X``."""
-        if self._phase is not Phase.ONLINE:
-            raise RuntimeError("classifier is still bootstrapping")
-        margins = self._learner.decision_function(X)
-        hist = self.obs.histogram("admittance.margin", buckets=MARGIN_BUCKETS)
-        for value in margins:
-            hist.observe(float(value))
-        return np.asarray(margins)
+        return np.where(self.admits(self._margins(X)), 1, -1)
 
     @property
     def samples_until_retrain(self) -> int:
@@ -333,10 +325,3 @@ class AdmittanceClassifier:
             return False
         self._retrain()
         return True
-
-    # Convenience aliases matching the ExperientialCapacityRegion protocol.
-    def predict_one(self, x: np.ndarray) -> float:
-        return float(self.classify(x))
-
-    def margin_one(self, x: np.ndarray) -> float:
-        return self.margin(x)

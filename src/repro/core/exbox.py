@@ -10,7 +10,7 @@ Typical wiring::
 
     exbox = ExBox.with_defaults(batch_size=20)
     exbox.train_qoe_estimator(rng=rng)          # Figure 12 sweep
-    decision = exbox.handle_arrival(request)    # admit/reject
+    decision = exbox.handle_arrival(request)    # assess, then commit
     ...                                         # network runs
     exbox.report_outcome(decision, matrix_run)  # learn from truth
 """
@@ -29,6 +29,7 @@ from repro.core.excr import ExperientialCapacityRegion, TrafficMatrix, encode_ev
 from repro.core.policies import AdmittancePolicy, PolicyAction, PolicyOutcome
 from repro.core.qoe_estimator import QoEEstimator
 from repro.obs.facade import NULL_OBS, Obs
+from repro.obs.tracing import SpanRecord
 from repro.testbed.controller import MatrixRun
 from repro.traffic.arrival import FlowEvent
 from repro.traffic.flows import APP_CLASSES, Flow, FlowRequest
@@ -155,88 +156,98 @@ class ExBox:
             raise ValueError("early packets are required to classify the flow")
         return self.flow_classifier.classify(packets)
 
+    def assess(
+        self,
+        request: FlowRequest,
+        packets: Optional[Sequence[Packet]] = None,
+    ) -> AdmissionDecision:
+        """Decide on one arriving flow without changing any state.
+
+        During bootstrap every flow is admitted (ExBox only observes);
+        online, one SVM margin read against the learned ExCR decides,
+        through the classifier's guard rule. :meth:`commit` applies the
+        result.
+        """
+        app_class = self._resolve_class(request, packets)
+        level = self.binner.level_index(request.snr_db)
+        event = FlowEvent(
+            matrix_before=self._matrix.counts,
+            app_class_index=APP_CLASSES.index(app_class),
+            snr_level=level,
+        )
+        decision = AdmissionDecision(
+            request=request,
+            app_class=app_class,
+            snr_level=level,
+            event=event,
+            admitted=True,
+            phase=self.phase,
+        )
+        if self.admittance.is_online:
+            with self.obs.span("exbox.decide"):
+                decision.margin = margin = self.admittance.margin(encode_event(event))
+                decision.admitted = self.admittance.admits(margin)
+        return decision
+
+    def commit(
+        self, decision: AdmissionDecision, span: Optional[SpanRecord] = None
+    ) -> AdmissionDecision:
+        """Apply an :meth:`assess` result: an admitted flow joins the
+        matrix, a rejected one goes to the policy.
+
+        ``span`` is the still-open span the decision was made under; its
+        elapsed time is what the flight recorder carries.
+        """
+        request, app_class, level = decision.request, decision.app_class, decision.snr_level
+        flow = Flow(app_class=app_class, snr_db=request.snr_db, client_id=request.client_id)
+        if decision.admitted:
+            self._active[flow.flow_id] = flow
+            self._levels[flow.flow_id] = level
+            self._matrix = self._matrix.with_arrival(
+                decision.event.app_class_index, level
+            )
+            decision.flow = flow
+            self.obs.counter("exbox.decisions.admitted").inc()
+        else:
+            decision.policy_outcome = self.policy.reject(flow)
+            if decision.policy_outcome.action is PolicyAction.LOW_PRIORITY:
+                self._background[flow.flow_id] = flow
+                self.obs.counter("exbox.decisions.demoted").inc()
+            self.obs.counter("exbox.decisions.rejected").inc()
+        self._update_occupancy_gauges()
+        if self.obs.enabled:
+            self.obs.recorder.record(
+                matrix=decision.event.matrix_before,
+                app_class=app_class,
+                snr_level=level,
+                phase=decision.phase.value,
+                admitted=decision.admitted,
+                margin=decision.margin,
+                elapsed_s=None if span is None else self.obs.tracer.clock() - span.start,
+            )
+            self.obs.emit(
+                "admission_decision",
+                app_class=app_class,
+                snr_level=level,
+                phase=decision.phase.value,
+                admitted=decision.admitted,
+                margin=decision.margin,
+                matrix=list(self._matrix.counts),
+            )
+        return decision
+
     def handle_arrival(
         self,
         request: FlowRequest,
         packets: Optional[Sequence[Packet]] = None,
     ) -> AdmissionDecision:
-        """Decide on one arriving flow.
+        """Decide on one arriving flow and apply the decision.
 
-        During bootstrap every flow is admitted (ExBox only observes);
-        online, the Admittance Classifier decides and the policy disposes
-        of rejections. The caller must feed the observed outcome back via
+        The caller must feed the observed outcome back via
         :meth:`report_outcome` for learning to happen.
         """
-        with self.obs.span("exbox.handle_arrival") as span_record:
-            app_class = self._resolve_class(request, packets)
-            level = self.binner.level_index(request.snr_db)
-            cls_idx = APP_CLASSES.index(app_class)
-            event = FlowEvent(
-                matrix_before=self._matrix.counts,
-                app_class_index=cls_idx,
-                snr_level=level,
-            )
-            decision = AdmissionDecision(
-                request=request,
-                app_class=app_class,
-                snr_level=level,
-                event=event,
-                admitted=True,
-                phase=self.phase,
-            )
-            if self.admittance.is_online:
-                x = encode_event(event)
-                with self.obs.span("exbox.decide"):
-                    decision.margin = self.admittance.margin(x)
-                    # classify() applies the operator's guard margin, if any.
-                    decision.admitted = self.admittance.classify(x) == 1
-
-            if decision.admitted:
-                flow = Flow(
-                    app_class=app_class, snr_db=request.snr_db, client_id=request.client_id
-                )
-                self._active[flow.flow_id] = flow
-                self._levels[flow.flow_id] = level
-                self._matrix = self._matrix.with_arrival(cls_idx, level)
-                decision.flow = flow
-                self.obs.counter("exbox.decisions.admitted").inc()
-            else:
-                rejected = Flow(
-                    app_class=app_class, snr_db=request.snr_db, client_id=request.client_id
-                )
-                decision.policy_outcome = self.policy.reject(rejected)
-                if decision.policy_outcome.action is PolicyAction.LOW_PRIORITY:
-                    self._background[rejected.flow_id] = rejected
-                    self.obs.counter("exbox.decisions.demoted").inc()
-                self.obs.counter("exbox.decisions.rejected").inc()
-            self._update_occupancy_gauges()
-            if self.obs.enabled:
-                # The handle_arrival span is still open; elapsed so far is
-                # the decision time the flight recorder should carry.
-                elapsed = (
-                    self.obs.tracer.clock() - span_record.start
-                    if span_record is not None
-                    else None
-                )
-                self.obs.recorder.record(
-                    matrix=event.matrix_before,
-                    app_class=app_class,
-                    snr_level=level,
-                    phase=decision.phase.value,
-                    admitted=decision.admitted,
-                    margin=decision.margin,
-                    elapsed_s=elapsed,
-                )
-                self.obs.emit(
-                    "admission_decision",
-                    app_class=app_class,
-                    snr_level=level,
-                    phase=decision.phase.value,
-                    admitted=decision.admitted,
-                    margin=decision.margin,
-                    matrix=list(self._matrix.counts),
-                )
-        return decision
+        with self.obs.span("exbox.handle_arrival") as span:
+            return self.commit(self.assess(request, packets), span)
 
     def _update_occupancy_gauges(self) -> None:
         self.obs.gauge("exbox.flows.active").set(len(self._active))

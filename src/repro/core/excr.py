@@ -36,9 +36,9 @@ __all__ = [
 class AdmissionBoundary(Protocol):
     """What :class:`ExperientialCapacityRegion` needs from a classifier."""
 
-    def predict_one(self, x: np.ndarray) -> float: ...
+    def classify(self, x: np.ndarray) -> int: ...
 
-    def margin_one(self, x: np.ndarray) -> float: ...
+    def margin(self, x: np.ndarray) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def encode_event(event: FlowEvent) -> np.ndarray:
 class ExperientialCapacityRegion:
     """Membership/depth queries against a learned ExCR boundary.
 
-    Wraps any object exposing ``predict_one(x)`` and ``margin_one(x)``
+    Wraps any object exposing ``classify(x)`` and ``margin(x)``
     over the :func:`encode_event` feature space (in practice, the trained
     Admittance Classifier).
     """
@@ -148,7 +148,7 @@ class ExperientialCapacityRegion:
     ) -> bool:
         """Would adding this flow keep the network inside the region?"""
         x = self._encode(matrix, app_class_index, snr_level)
-        return self._classifier.predict_one(x) > 0
+        return self._classifier.classify(x) > 0
 
     def depth(
         self, matrix: TrafficMatrix, app_class_index: int, snr_level: int = 0
@@ -158,7 +158,7 @@ class ExperientialCapacityRegion:
         Positive = inside; used for network selection (Section 4.1).
         """
         x = self._encode(matrix, app_class_index, snr_level)
-        return float(self._classifier.margin_one(x))
+        return float(self._classifier.margin(x))
 
     def estimate_volume(
         self,

@@ -18,10 +18,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.admittance import AdmittanceClassifier
 from repro.core.exbox import AdmissionDecision, ExBox
-from repro.core.excr import encode_event
 from repro.core.qoe_estimator import QoEEstimator
-from repro.traffic.arrival import FlowEvent
-from repro.traffic.flows import APP_CLASSES, Flow, FlowRequest
+from repro.traffic.flows import Flow, FlowRequest
 from repro.wireless.channel import SnrBinner
 
 __all__ = ["ExBoxFleet", "FleetDecision"]
@@ -84,23 +82,6 @@ class ExBoxFleet:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def _margin(self, name: str, request: FlowRequest) -> float:
-        """SVM margin of admitting ``request`` into cell ``name``.
-
-        Bootstrapping cells admit everything, reported as margin 0.
-        """
-        exbox = self._cells[name]
-        if not exbox.admittance.is_online:
-            return 0.0
-        cls_idx = APP_CLASSES.index(request.app_class)
-        level = exbox.binner.level_index(request.snr_db)
-        event = FlowEvent(
-            matrix_before=exbox.current_matrix.counts,
-            app_class_index=cls_idx,
-            snr_level=level,
-        )
-        return exbox.admittance.margin(encode_event(event))
-
     def handle_arrival(
         self,
         request: FlowRequest,
@@ -109,26 +90,25 @@ class ExBoxFleet:
         """Place an arriving flow on the best candidate cell.
 
         ``candidate_cells`` restricts placement to the cells actually in
-        radio range of the client (default: all). The flow goes to the
-        admissible cell whose admission lands deepest inside its region;
-        a FleetDecision with ``cell=None`` means every candidate would
-        reject it.
+        radio range of the client (default: all). Each candidate assesses
+        the flow once; it goes to the admitting cell whose admission
+        lands deepest inside its region (bootstrapping cells admit
+        everything, ranked at margin 0), and that cell commits the same
+        assessment. A FleetDecision with ``cell=None`` means every
+        candidate would reject it.
         """
         if request.app_class is None:
             raise ValueError("fleet placement needs a classified request")
         names = candidate_cells or self.cells
         if not names:
             raise RuntimeError("no cells registered")
-        margins = {name: self._margin(name, request) for name in names}
-        viable = [name for name, margin in margins.items() if margin >= 0]
+        assessed = {name: self._cells[name].assess(request) for name in names}
+        margins = {name: 0.0 if d.margin is None else d.margin for name, d in assessed.items()}
+        viable = [name for name, d in assessed.items() if d.admitted]
         if not viable:
             return FleetDecision(cell=None, decision=None, margins=margins)
         best = max(viable, key=lambda name: margins[name])
-        decision = self._cells[best].handle_arrival(request)
-        if not decision.admitted:
-            # The cell-level classifier can still say no (its matrix may
-            # have moved since the margin probe); treat as blocked.
-            return FleetDecision(cell=None, decision=decision, margins=margins)
+        decision = self._cells[best].commit(assessed[best])
         self._flow_home[decision.flow.flow_id] = best
         return FleetDecision(cell=best, decision=decision, margins=margins)
 

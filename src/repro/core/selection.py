@@ -62,9 +62,11 @@ class NetworkSelector:
     def select(self, app_class_index: int, snr_level: int = 0) -> SelectionResult:
         """Pick the best cell for an arriving flow.
 
-        Cells whose classifier is still bootstrapping are treated as
-        admissible with margin 0 (they admit everything by definition of
-        the bootstrap phase).
+        An online cell is admissible when its classifier's own guard rule
+        (:meth:`AdmittanceClassifier.admits`) accepts the margin. Cells
+        whose classifier is still bootstrapping are treated as admissible
+        with margin 0 (they admit everything by definition of the
+        bootstrap phase).
         """
         if not self._cells:
             raise RuntimeError("no cells registered")
@@ -81,7 +83,7 @@ class NetworkSelector:
             if classifier.is_online:
                 margin = classifier.margin(x)
                 margins[name] = margin
-                admissible[name] = margin >= 0
+                admissible[name] = classifier.admits(margin)
             else:
                 margins[name] = 0.0
                 admissible[name] = True

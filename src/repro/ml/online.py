@@ -335,16 +335,7 @@ class BatchOnlineSVM:
             raise RuntimeError("model has not been trained yet")
         return self._model.predict(self._prepare(X))
 
-    def predict_one(self, x: ArrayLike) -> float:
-        return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     def decision_function(self, X: ArrayLike) -> np.ndarray:
         if self._model is None:
             raise RuntimeError("model has not been trained yet")
         return self._model.decision_function(self._prepare(X))
-
-    def margin_one(self, x: ArrayLike) -> float:
-        """SVM margin for one point (used for network selection)."""
-        return float(
-            self.decision_function(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-        )

@@ -121,13 +121,6 @@ class TestOnlinePhase:
             margin = clf.margin(x)
             assert (margin >= 0) == (clf.classify(x) == 1)
 
-    def test_excr_protocol_aliases(self):
-        clf = self._online_classifier()
-        x = np.array([1.0, 1.0, 0.0, 0.0])
-        # Both sides are exact ±1 label sentinels, not arithmetic.
-        assert clf.predict_one(x) == float(clf.classify(x))  # repro: noqa[NUM001]
-        assert clf.margin_one(x) == clf.margin(x)
-
     def test_adapts_to_boundary_shift(self):
         # Shrink the true region from <=5 to <=2 flows; the classifier
         # must re-learn (the Figure 11 behaviour).
@@ -166,6 +159,15 @@ class TestGuardMargin:
         clf = self._online(0.0)
         for x, _ in _sample_stream(30, seed=12):
             assert (clf.classify(x) == 1) == (clf.margin(x) >= 0)
+
+    @pytest.mark.parametrize("guard", [-0.8, 0.0, 0.8])
+    def test_every_view_applies_the_same_guard(self, guard):
+        clf = self._online(guard)
+        X = np.vstack([x for x, _ in _sample_stream(40, seed=15)])
+        batch = clf.classify_batch(X)
+        for i, x in enumerate(X):
+            expected = 1 if clf.margin(x) >= guard else -1
+            assert batch[i] == clf.classify(x) == expected
 
     def test_positive_guard_is_conservative(self):
         plain = self._online(0.0)

@@ -20,8 +20,11 @@ class _StubAdmittance:
     def margin(self, x):
         return float(self.max_total - sum(x[:3]) + 0.5)
 
+    def admits(self, margin):
+        return margin >= 0
+
     def classify(self, x):
-        return 1 if self.margin(x) >= 0 else -1
+        return 1 if self.admits(self.margin(x)) else -1
 
     def observe_online(self, x, y):
         return False

@@ -92,6 +92,26 @@ class TestArrivalHandling:
             assert box.policy.log
 
 
+class TestOneEvaluationPerArrival:
+    """A decided arrival reads the SVM margin once; bootstrap never does."""
+
+    def test_online_arrival_is_one_kernel_pass(self, kernel_passes):
+        box = ExBox.with_defaults(batch_size=10, min_bootstrap_samples=10)
+        rng = np.random.default_rng(36)
+        while not box.admittance.is_online:
+            counts = rng.integers(0, 5, size=3).astype(float)
+            x = np.append(counts, float(rng.integers(0, 3)))
+            box.admittance.observe_bootstrap(x, 1 if counts.sum() <= 5 else -1)
+        kernel_passes.clear()
+        decision = box.handle_arrival(FlowRequest(client_id=1, app_class=WEB))
+        assert decision.margin is not None
+        assert kernel_passes == [1]
+
+    def test_bootstrap_arrival_reads_no_kernel(self, exbox, kernel_passes):
+        exbox.handle_arrival(FlowRequest(client_id=1, app_class=WEB))
+        assert kernel_passes == []
+
+
 class TestDynamics:
     def test_update_flow_snr_moves_matrix_slot(self, estimator):
         box = ExBox.with_defaults(batch_size=10, n_snr_levels=2)
@@ -166,8 +186,11 @@ class _CapacityStub:
     def margin(self, x):
         return float(self.cap - self._weighted(x))
 
+    def admits(self, margin):
+        return margin >= 0
+
     def classify(self, x):
-        return 1 if self._weighted(x) <= self.cap else -1
+        return 1 if self.admits(self.margin(x)) else -1
 
     def instrument(self, obs):
         pass

@@ -73,10 +73,10 @@ class TestEncodeEvent:
 class _FakeClassifier:
     """Admits while total flows after arrival <= 4."""
 
-    def predict_one(self, x):
-        return 1.0 if sum(x[:-1]) <= 4 else -1.0
+    def classify(self, x):
+        return 1 if sum(x[:-1]) <= 4 else -1
 
-    def margin_one(self, x):
+    def margin(self, x):
         return 4.0 - float(sum(x[:-1]))
 
 
@@ -120,10 +120,10 @@ class TestEstimateVolume:
 
     def test_empty_region_zero(self):
         class _Never:
-            def predict_one(self, x):
-                return -1.0
+            def classify(self, x):
+                return -1
 
-            def margin_one(self, x):
+            def margin(self, x):
                 return -1.0
 
         region = ExperientialCapacityRegion(_Never(), n_levels=1)

@@ -1,10 +1,14 @@
 """Tests for the multi-cell ExBox fleet (Sections 4.1/4.4)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core.excr import encode_event
 from repro.core.fleet import ExBoxFleet
-from repro.traffic.flows import FlowRequest, STREAMING, WEB
+from repro.traffic.arrival import FlowEvent
+from repro.traffic.flows import APP_CLASSES, FlowRequest, STREAMING, WEB
 
 
 def _train_cell(exbox, max_total, seed):
@@ -17,16 +21,43 @@ def _train_cell(exbox, max_total, seed):
         clf.observe_bootstrap(x, 1 if counts.sum() <= max_total else -1)
 
 
-@pytest.fixture
-def fleet(estimator):
+def _two_cell_fleet(estimator, guard_margin=0.0, load=(0, 0, 0)):
+    """Cells ap-1/ap-2 trained on 'total <= 4'. Each is first loaded with
+    ``load`` flows per class while bootstrapping (which admits all), so
+    the load does not depend on the guard."""
     fleet = ExBoxFleet(qoe_estimator=estimator)
-    for name, max_total, seed in (("ap-1", 4, 1), ("ap-2", 4, 2)):
+    for name, seed in (("ap-1", 1), ("ap-2", 2)):
         exbox = fleet.add_cell(
             name, batch_size=20, min_bootstrap_samples=150,
             max_bootstrap_samples=200, cv_threshold=0.9,
+            guard_margin=guard_margin,
         )
-        _train_cell(exbox, max_total, seed)
+        for cls_idx, count in enumerate(load):
+            for _ in range(count):
+                exbox.handle_arrival(
+                    FlowRequest(client_id=0, app_class=APP_CLASSES[cls_idx])
+                )
+        _train_cell(exbox, 4, seed)
     return fleet
+
+
+@pytest.fixture
+def fleet(estimator):
+    return _two_cell_fleet(estimator)
+
+
+def _load_with_best_margin(fleet, low, high):
+    """First (per-class load, arriving class) whose best margin across
+    the fleet's cells lies in ``[low, high)``."""
+    for load in itertools.product(range(6), repeat=3):
+        for cls_idx in range(len(APP_CLASSES)):
+            x = encode_event(
+                FlowEvent(matrix_before=load, app_class_index=cls_idx, snr_level=0)
+            )
+            best = max(fleet.cell(name).admittance.margin(x) for name in fleet.cells)
+            if low <= best < high:
+                return load, cls_idx
+    raise AssertionError(f"no load puts the best margin in [{low}, {high})")
 
 
 class TestTopology:
@@ -101,8 +132,48 @@ class TestPlacement:
         with pytest.raises(ValueError):
             fleet.handle_arrival(FlowRequest(client_id=1))
 
+    def test_one_kernel_pass_per_candidate(self, fleet, kernel_passes):
+        result = fleet.handle_arrival(FlowRequest(client_id=1, app_class=WEB))
+        assert result.admitted
+        assert kernel_passes == [1] * len(fleet.cells)
+
     def test_bootstrapping_cell_attracts_flows(self, estimator):
         fleet = ExBoxFleet(qoe_estimator=estimator)
         fleet.add_cell("fresh")  # never bootstrapped: admits everything
         result = fleet.handle_arrival(FlowRequest(client_id=1, app_class=WEB))
         assert result.cell == "fresh"
+
+
+class TestGuardedPlacement:
+    """Placement takes each cell's own guard-rule verdict, so the fleet
+    never overrules a cell on the margin's sign."""
+
+    def test_negative_guard_places_below_zero(self, fleet, estimator):
+        load, cls_idx = _load_with_best_margin(fleet, -0.5, 0.0)
+        guarded = _two_cell_fleet(estimator, guard_margin=-0.5, load=load)
+        result = guarded.handle_arrival(
+            FlowRequest(client_id=9, app_class=APP_CLASSES[cls_idx])
+        )
+        assert result.admitted
+        assert result.margins[result.cell] == max(result.margins.values())
+        assert -0.5 <= result.margins[result.cell] < 0.0
+
+    def test_positive_guard_blocks_below_guard(self, fleet, estimator):
+        load, cls_idx = _load_with_best_margin(fleet, 0.0, 0.5)
+        guarded = _two_cell_fleet(estimator, guard_margin=0.5, load=load)
+        rejected = []
+        for name in guarded.cells:
+            policy = guarded.cell(name).policy
+
+            def spy(flow, reject=policy.reject):
+                rejected.append(flow)
+                return reject(flow)
+
+            policy.reject = spy
+        result = guarded.handle_arrival(
+            FlowRequest(client_id=9, app_class=APP_CLASSES[cls_idx])
+        )
+        assert 0.0 <= max(result.margins.values()) < 0.5
+        assert result.cell is None
+        assert result.decision is None
+        assert rejected == []

@@ -200,7 +200,7 @@ class TestLearnerCacheBitIdentity:
             x = rng.uniform(-2, 2, size=4)
             learner.observe(x, 1.0 if (x**2).sum() < 4.0 else -1.0)
             if learner.is_trained:
-                margins.append(learner.margin_one(x))
+                margins.append(float(learner.decision_function(x)[0]))
         return learner, np.asarray(margins)
 
     @pytest.mark.parametrize("max_buffer", [None, 120])

@@ -103,8 +103,8 @@ class TestRetraining:
         learner = BatchOnlineSVM(batch_size=10)
         _feed_linear(learner, 60, seed=4)
         point = np.array([1.5, 1.5])
-        assert learner.margin_one(point) > 0
-        assert learner.predict_one(point) == pytest.approx(1.0)
+        assert learner.decision_function(point)[0] > 0
+        assert learner.predict(point)[0] == pytest.approx(1.0)
 
     def test_is_trained_flag(self):
         learner = BatchOnlineSVM(batch_size=5)
