@@ -29,7 +29,6 @@ from repro.core.excr import ExperientialCapacityRegion, TrafficMatrix, encode_ev
 from repro.core.policies import AdmittancePolicy, PolicyAction, PolicyOutcome
 from repro.core.qoe_estimator import QoEEstimator
 from repro.obs.facade import NULL_OBS, Obs
-from repro.obs.tracing import SpanRecord
 from repro.testbed.controller import MatrixRun
 from repro.traffic.arrival import FlowEvent
 from repro.traffic.flows import APP_CLASSES, Flow, FlowRequest
@@ -189,14 +188,13 @@ class ExBox:
                 decision.admitted = self.admittance.admits(margin)
         return decision
 
-    def commit(
-        self, decision: AdmissionDecision, span: Optional[SpanRecord] = None
-    ) -> AdmissionDecision:
+    def commit(self, decision: AdmissionDecision) -> AdmissionDecision:
         """Apply an :meth:`assess` result: an admitted flow joins the
         matrix, a rejected one goes to the policy.
 
-        ``span`` is the still-open span the decision was made under; its
-        elapsed time is what the flight recorder carries.
+        Instrumented, this writes the decision's one ``admission_decision``
+        event: the matrix the classifier saw, class, SNR level, phase,
+        verdict, and margin (None in bootstrap).
         """
         request, app_class, level = decision.request, decision.app_class, decision.snr_level
         flow = Flow(app_class=app_class, snr_db=request.snr_db, client_id=request.client_id)
@@ -216,15 +214,6 @@ class ExBox:
             self.obs.counter("exbox.decisions.rejected").inc()
         self._update_occupancy_gauges()
         if self.obs.enabled:
-            self.obs.recorder.record(
-                matrix=decision.event.matrix_before,
-                app_class=app_class,
-                snr_level=level,
-                phase=decision.phase.value,
-                admitted=decision.admitted,
-                margin=decision.margin,
-                elapsed_s=None if span is None else self.obs.tracer.clock() - span.start,
-            )
             self.obs.emit(
                 "admission_decision",
                 app_class=app_class,
@@ -232,7 +221,7 @@ class ExBox:
                 phase=decision.phase.value,
                 admitted=decision.admitted,
                 margin=decision.margin,
-                matrix=list(self._matrix.counts),
+                matrix=list(decision.event.matrix_before),
             )
         return decision
 
@@ -246,8 +235,8 @@ class ExBox:
         The caller must feed the observed outcome back via
         :meth:`report_outcome` for learning to happen.
         """
-        with self.obs.span("exbox.handle_arrival") as span:
-            return self.commit(self.assess(request, packets), span)
+        with self.obs.span("exbox.handle_arrival"):
+            return self.commit(self.assess(request, packets))
 
     def _update_occupancy_gauges(self) -> None:
         self.obs.gauge("exbox.flows.active").set(len(self._active))

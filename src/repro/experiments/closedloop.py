@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.baselines import AdmissionScheme
-from repro.core.excr import encode_event
 from repro.experiments.datasets import build_testbed_dataset
 from repro.experiments.harness import ExBoxScheme
 from repro.obs.facade import NULL_OBS, Obs
@@ -139,7 +138,7 @@ def run_closed_loop(
                 app_class_index=cls_idx,
                 snr_level=level,
             )
-            with obs.span("closedloop.decide") as span_record:
+            with obs.span("closedloop.decide"):
                 decision = scheme.decide(event)
             room = len(active) < testbed.max_clients
             if decision == 1 and room:
@@ -150,25 +149,6 @@ def run_closed_loop(
                 result.rejected += 1
                 obs.counter("exbox.decisions.rejected").inc()
             if obs.enabled:
-                # Black-box record for post-mortems; the margin re-query
-                # only happens on instrumented runs, never on NULL_OBS.
-                margin = None
-                phase = "static"
-                if isinstance(scheme, ExBoxScheme):
-                    phase = scheme.classifier.phase.value
-                    if scheme.is_online:
-                        margin = scheme.classifier.margin(encode_event(event))
-                obs.recorder.record(
-                    matrix=event.matrix_before,
-                    app_class=APP_CLASSES[cls_idx],
-                    snr_level=level,
-                    phase=phase,
-                    admitted=bool(decision == 1 and room),
-                    margin=margin,
-                    elapsed_s=span_record.duration if span_record else None,
-                    scheme=scheme.name,
-                    minute=minute,
-                )
                 obs.gauge("exbox.flows.active").set(len(active))
                 obs.emit(
                     "admission_decision",

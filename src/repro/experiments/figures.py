@@ -805,7 +805,7 @@ def latency_benchmarks(
 ) -> LatencyResult:
     """Decision latency for the three schemes plus SVM training latency.
 
-    Pass a recording ``obs`` (see :func:`repro.obs.obs_from_env`) to
+    Pass a recording ``obs`` (:meth:`repro.obs.Obs.recording`) to
     accumulate every timed region — ``latency.decision`` spans per
     admission call, ``svm.fit`` spans per training fit, and the ExBox
     scheme's own ``admittance.retrain`` instrumentation — into its

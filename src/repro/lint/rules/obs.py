@@ -11,9 +11,9 @@ helper are the sanctioned stdout writers and are exempt.
 OBS002: every metric, span, or event name the pipeline registers with a
 string literal — ``obs.counter("...")``, ``.gauge``, ``.histogram``,
 ``.span``, ``obs.emit("...")`` — must appear in the catalogue tables of
-``docs/observability.md``. The catalogue is how operators discover what
-an alert rule or dashboard can reference; an undocumented name is
-invisible to them and prone to silent drift.
+``docs/observability.md``. The catalogue is how readers discover what
+an ``obs check`` gate rule or a test can reference; an undocumented
+name is invisible to them and prone to silent drift.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class UncataloguedObsName(Rule):
     summary = "instrument name missing from docs/observability.md"
     rationale = (
         "docs/observability.md is the operator-facing catalogue of every "
-        "metric, span, and event the pipeline can produce; alert rules "
-        "and dashboards are written against it. A name registered in "
+        "metric, span, and event the pipeline can produce; obs check "
+        "gate rules and tests are written against it. A name registered in "
         "code but absent from the catalogue is undiscoverable and drifts "
         "silently. Add the name to the relevant catalogue table (or fix "
         "the literal)."

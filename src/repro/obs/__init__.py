@@ -6,57 +6,39 @@ every hot path a way to report where time and decisions go:
 
 - :mod:`repro.obs.registry` — counters, gauges, fixed-bucket histograms,
 - :mod:`repro.obs.tracing` — nested spans with a pluggable clock,
-- :mod:`repro.obs.events` — JSON-lines structured events + logging bridge,
-- :mod:`repro.obs.exporters` — JSON snapshot (``BENCH_*.json``),
-  Prometheus text, and Chrome trace-event timeline formats,
-- :mod:`repro.obs.recorder` — bounded flight recorder of per-decision
-  records, dumped as JSON-lines when an alert fires,
-- :mod:`repro.obs.alerts` — declarative SLO threshold rules and the
-  engine that fires them (and triggers recorder dumps),
+- :mod:`repro.obs.events` — structured in-memory events (one
+  ``admission_decision`` per decision),
+- :mod:`repro.obs.exporters` — JSON snapshot (``BENCH_*.json``) and
+  Chrome trace-event timeline formats,
 - :mod:`repro.obs.diffing` — snapshot-to-snapshot comparison backing
-  ``python -m repro obs diff``,
-- :mod:`repro.obs.baseline` — the CI regression gate against a committed
-  baseline (``python -m repro obs check``),
+  ``python -m repro obs diff``, and the CI regression gate read through
+  it (``python -m repro obs check``),
 - :mod:`repro.obs.facade` — the one-argument :class:`Obs` bundle and the
   inert :data:`NULL_OBS` default.
 
 See ``docs/observability.md`` for the metric catalogue and span names.
 """
 
-from repro.obs.alerts import (
-    AlertEngine,
-    AlertEvent,
-    AlertRule,
-    rules_from_dict,
-    rules_from_toml,
-)
-from repro.obs.baseline import GateCheck, GateResult, check_baseline
 from repro.obs.clock import MONOTONIC, Clock, ManualClock
 from repro.obs.diffing import (
+    GateCheck,
+    GateResult,
     HistogramDelta,
     ScalarDelta,
     SnapshotDiff,
+    check_baseline,
     diff_snapshots,
 )
-from repro.obs.events import (
-    EventDict,
-    EventLog,
-    EventSink,
-    NullEventLog,
-    jsonl_sink,
-    logging_sink,
-)
+from repro.obs.events import EventDict, EventLog, NullEventLog
 from repro.obs.exporters import (
     load_snapshot,
     snapshot,
     snapshot_json,
     to_chrome_trace,
-    to_prometheus,
     write_bench_json,
     write_chrome_trace,
 )
-from repro.obs.facade import NULL_OBS, Obs, obs_from_env
-from repro.obs.recorder import NULL_RECORDER, DecisionRecord, FlightRecorder
+from repro.obs.facade import NULL_OBS, Obs
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_S,
     Counter,
@@ -65,17 +47,12 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullRegistry,
 )
-from repro.obs.tracing import NullTracer, SpanRecord, Tracer
+from repro.obs.tracing import NullTracer, Tracer
 
 __all__ = [
     "MONOTONIC",
     "Clock",
     "ManualClock",
-    "AlertEngine",
-    "AlertEvent",
-    "AlertRule",
-    "rules_from_dict",
-    "rules_from_toml",
     "GateCheck",
     "GateResult",
     "check_baseline",
@@ -83,25 +60,17 @@ __all__ = [
     "ScalarDelta",
     "SnapshotDiff",
     "diff_snapshots",
-    "NULL_RECORDER",
-    "DecisionRecord",
-    "FlightRecorder",
     "EventDict",
     "EventLog",
-    "EventSink",
     "NullEventLog",
-    "jsonl_sink",
-    "logging_sink",
     "load_snapshot",
     "snapshot",
     "snapshot_json",
     "to_chrome_trace",
-    "to_prometheus",
     "write_bench_json",
     "write_chrome_trace",
     "NULL_OBS",
     "Obs",
-    "obs_from_env",
     "DEFAULT_LATENCY_BUCKETS_S",
     "Counter",
     "Gauge",
@@ -109,6 +78,5 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NullTracer",
-    "SpanRecord",
     "Tracer",
 ]

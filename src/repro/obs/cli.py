@@ -1,19 +1,15 @@
 """``repro obs`` — the observability consumption CLI.
 
-Four subcommands over exported snapshots::
+Three subcommands over exported snapshots::
 
     python -m repro obs summary --snapshot BENCH_obs.json
-    python -m repro obs summary --snapshot BENCH_obs.json --format prometheus
-    python -m repro obs watch --snapshot BENCH_obs.json --interval 2
     python -m repro obs diff A.json B.json
     python -m repro obs check --baseline benchmarks/baselines/BENCH_baseline_obs.json \
         --candidate BENCH_obs.json
 
-``summary`` renders one snapshot as aligned text (or re-emits the
-Prometheus exposition). ``watch`` polls the snapshot file a live run
-keeps rewriting (``REPRO_OBS_EXPORT``) and prints a fresh summary plus
-the delta since the previous tick. ``diff`` compares two snapshots.
-``check`` evaluates the CI baseline gate and exits non-zero on breach.
+``summary`` renders one snapshot as aligned text. ``diff`` compares two
+snapshots. ``check`` evaluates the CI baseline gate and exits non-zero
+on breach.
 
 Invoking without a subcommand keeps the original behaviour
 (``python -m repro obs --snapshot ...`` is a ``summary``).
@@ -24,17 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional, Sequence
 
-from repro.obs.baseline import check_baseline
-from repro.obs.diffing import diff_snapshots
-from repro.obs.exporters import load_snapshot, to_prometheus
+from repro.obs.diffing import check_baseline, diff_snapshots
+from repro.obs.exporters import load_snapshot
 
 __all__ = ["render_snapshot", "build_parser", "main"]
 
-_SUBCOMMANDS = ("summary", "watch", "diff", "check")
+_SUBCOMMANDS = ("summary", "diff", "check")
 
 
 def _fmt_seconds(value: Optional[float]) -> str:
@@ -107,45 +101,8 @@ def _run_summary(args: argparse.Namespace, stream: IO[str]) -> int:
     if payload is None:
         print(f"repro obs: snapshot not found: {path}", file=stream)
         return 2
-    if args.format == "prometheus":
-        metrics = payload.get("metrics", payload)
-        stream.write(to_prometheus(load_snapshot(metrics)))
-    else:
-        stream.write(render_snapshot(payload))
+    stream.write(render_snapshot(payload))
     return 0
-
-
-def _run_watch(args: argparse.Namespace, stream: IO[str]) -> int:
-    """Poll the snapshot file, printing a summary + delta each tick.
-
-    A live experiment rewrites its ``REPRO_OBS_EXPORT`` file at natural
-    checkpoints; watching that file is how an operator follows a run
-    without attaching to the process. ``--count`` bounds the ticks (0 =
-    forever), which also makes the loop testable.
-    """
-    path = Path(args.snapshot)
-    previous: Optional[Dict[str, Any]] = None
-    tick = 0
-    while True:
-        tick += 1
-        payload = _load_payload(path)
-        print(f"--- watch tick {tick} ({path}) ---", file=stream)
-        if payload is None:
-            print("(snapshot not present yet; waiting)", file=stream)
-        else:
-            stream.write(render_snapshot(payload))
-            if previous is not None:
-                delta = diff_snapshots(previous, payload)
-                if delta.any_changes:
-                    print("since last tick:", file=stream)
-                    stream.write(delta.render())
-                else:
-                    print("(no change since last tick)", file=stream)
-            previous = payload
-        if args.count and tick >= args.count:
-            return 0
-        if args.interval > 0:
-            time.sleep(args.interval)
 
 
 def _run_diff(args: argparse.Namespace, stream: IO[str]) -> int:
@@ -177,20 +134,6 @@ def _run_check(args: argparse.Namespace, stream: IO[str]) -> int:
 # ----------------------------------------------------------------------
 # Parsing
 # ----------------------------------------------------------------------
-def _add_summary_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--snapshot",
-        default="BENCH_obs.json",
-        help="path to a BENCH_*.json snapshot (default: BENCH_obs.json)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("summary", "prometheus"),
-        default="summary",
-        help="output format (default: summary)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro obs",
@@ -198,30 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand")
 
-    p_summary = sub.add_parser(
-        "summary", help="render one snapshot as text or Prometheus"
-    )
-    _add_summary_options(p_summary)
-
-    p_watch = sub.add_parser(
-        "watch", help="poll a snapshot file and print live summaries"
-    )
-    p_watch.add_argument(
+    p_summary = sub.add_parser("summary", help="render one snapshot as text")
+    p_summary.add_argument(
         "--snapshot",
         default="BENCH_obs.json",
-        help="snapshot file a running experiment keeps rewriting",
-    )
-    p_watch.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="seconds between polls (default: 2)",
-    )
-    p_watch.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        help="stop after N ticks (default 0 = run until interrupted)",
+        help="path to a BENCH_*.json snapshot (default: BENCH_obs.json)",
     )
 
     p_diff = sub.add_parser("diff", help="compare two snapshots")
@@ -261,8 +185,6 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[IO[str]] = None) ->
         # Back-compat: `repro obs --snapshot X` means `repro obs summary`.
         argv = ["summary", *argv]
     args = build_parser().parse_args(argv)
-    if args.subcommand == "watch":
-        return _run_watch(args, stream)
     if args.subcommand == "diff":
         return _run_diff(args, stream)
     if args.subcommand == "check":

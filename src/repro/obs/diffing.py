@@ -1,22 +1,48 @@
-"""Snapshot comparison: what changed between two metrics exports.
+"""Snapshot comparison and the CI regression gate built on it.
 
 ``python -m repro obs diff A.json B.json`` answers the regression
 question directly from two ``BENCH_*.json`` artifacts (or bare snapshot
 dicts): which counters/gauges moved, and how each latency histogram's
-count / mean / p50 / p99 shifted. The same machinery backs the CI
-baseline gate (:mod:`repro.obs.baseline`), which adds tolerances and an
-exit code on top.
+count / mean / p50 / p99 shifted.
+
+``python -m repro obs check --baseline B --candidate C`` is the same
+diff (baseline -> candidate) read through the rules of the baseline's
+``gate`` block, exiting non-zero on any breach::
+
+    "gate": {
+        "histograms": {
+            "latency.decision": {"stat": "p99", "max_ratio": 10.0}
+        },
+        "gauges": {
+            "latency.eval.precision": {"max_drop": 0.15}
+        }
+    }
+
+Latency rules are *ratios* against the baseline (CI hardware varies run
+to run; a 10x blowup is a code regression, a 1.3x wobble is the
+machine); quality rules are absolute drops (precision is
+hardware-independent). A gate that cannot be evaluated is a breach: a
+baseline without rules, a gated histogram empty in the baseline, or a
+rule key the gate does not know.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.exporters import load_snapshot
 from repro.obs.registry import Histogram, MetricsRegistry
 
-__all__ = ["ScalarDelta", "HistogramDelta", "SnapshotDiff", "diff_snapshots"]
+__all__ = [
+    "ScalarDelta",
+    "HistogramDelta",
+    "SnapshotDiff",
+    "diff_snapshots",
+    "GateCheck",
+    "GateResult",
+    "check_baseline",
+]
 
 #: Histogram statistics the diff reports, in display order.
 _HIST_STATS = ("count", "mean", "p50", "p95", "p99", "max")
@@ -199,3 +225,134 @@ def diff_snapshots(a: Dict[str, Any], b: Dict[str, Any]) -> SnapshotDiff:
     diff.added = sorted(b_names - a_names)
     diff.removed = sorted(a_names - b_names)
     return diff
+
+
+@dataclass
+class GateCheck:
+    """One evaluated gate rule."""
+
+    name: str
+    kind: str  # "histogram" | "gauge" | "gate"
+    stat: str
+    limit_kind: str  # "max_ratio" | "max_drop"
+    ok: bool
+    detail: str
+
+    def render(self) -> str:
+        status = "PASS" if self.ok else "FAIL"
+        return f"[{status}] {self.name} {self.stat}: {self.detail}"
+
+
+@dataclass
+class GateResult:
+    """All gate checks for one baseline/candidate pair."""
+
+    checks: List[GateCheck] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    @property
+    def failures(self) -> List[GateCheck]:
+        return [c for c in self.checks if not c.ok]
+
+    def render(self) -> str:
+        lines = [c.render() for c in self.checks]
+        verdict = (
+            "baseline gate: OK"
+            if self.ok
+            else f"baseline gate: {len(self.failures)} breach(es)"
+        )
+        return "\n".join([*lines, verdict]) + "\n"
+
+
+def _unknown_keys(rule: Dict[str, Any], known: Tuple[str, ...]) -> Optional[str]:
+    unknown = sorted(set(rule) - set(known))
+    return f"unknown rule key(s): {', '.join(unknown)}" if unknown else None
+
+
+def _check_histogram(
+    name: str,
+    rule: Dict[str, Any],
+    delta: Optional[HistogramDelta],
+    only_in_candidate: bool,
+) -> GateCheck:
+    stat = str(rule.get("stat", "p99"))
+    if stat not in _HIST_STATS:
+        raise ValueError(f"unknown histogram stat {stat!r}")
+    max_ratio = float(rule.get("max_ratio", 10.0))
+
+    def check(ok: bool, detail: str) -> GateCheck:
+        return GateCheck(name, "histogram", stat, "max_ratio", ok, detail)
+
+    unknown = _unknown_keys(rule, ("stat", "max_ratio"))
+    if unknown is not None:
+        return check(False, unknown)
+    observed = delta.after[stat] if delta is not None else None
+    if observed is None and not only_in_candidate:
+        return check(False, "metric missing (or empty) in candidate")
+    ratio = delta.ratio(stat) if delta is not None else None
+    if delta is None or ratio is None:
+        return check(
+            False, "metric missing, empty or zero in baseline; no ratio to gate"
+        )
+    baseline = delta.before[stat]
+    return check(
+        ratio <= max_ratio,
+        f"observed {observed:g} = {ratio:.2f}x baseline "
+        f"{baseline:g} (limit {max_ratio:g}x)",
+    )
+
+
+def _check_gauge(
+    name: str, rule: Dict[str, Any], delta: Optional[ScalarDelta]
+) -> GateCheck:
+    limit = float(rule.get("max_drop", 0.1))
+
+    def check(ok: bool, detail: str) -> GateCheck:
+        return GateCheck(name, "gauge", "value", "max_drop", ok, detail)
+
+    unknown = _unknown_keys(rule, ("max_drop",))
+    if unknown is not None:
+        return check(False, unknown)
+    if delta is None:
+        return check(False, "metric missing in baseline or candidate")
+    return check(
+        delta.after >= delta.before - limit,
+        f"observed {delta.after:g} vs baseline {delta.before:g} "
+        f"(allowed drop {limit:g})",
+    )
+
+
+def check_baseline(
+    baseline_payload: Dict[str, Any],
+    candidate_payload: Dict[str, Any],
+    gate: Optional[Dict[str, Any]] = None,
+) -> GateResult:
+    """Read :func:`diff_snapshots` (baseline -> candidate) through the
+    gate rules; see the module docstring for the format.
+
+    ``gate`` defaults to the baseline payload's own ``"gate"`` block, so
+    the committed baseline file is self-describing.
+    """
+    if gate is None:
+        gate = baseline_payload.get("gate", {})
+    diff = diff_snapshots(baseline_payload, candidate_payload)
+    hists = {h.name: h for h in diff.histograms}
+    gauges = {s.name: s for s in diff.scalars if s.kind == "gauge"}
+    result = GateResult()
+    for name, rule in sorted(gate.get("histograms", {}).items()):
+        result.checks.append(
+            _check_histogram(name, rule, hists.get(name), name in diff.added)
+        )
+    for name, rule in sorted(gate.get("gauges", {}).items()):
+        result.checks.append(_check_gauge(name, rule, gauges.get(name)))
+    if not result.checks:
+        result.checks.append(
+            GateCheck(
+                "gate", "gate", "rules", "-", False,
+                "the baseline declares no gate rules; nothing was checked",
+            )
+        )
+    return result

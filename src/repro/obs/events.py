@@ -1,117 +1,42 @@
-"""Structured event logging: JSON-lines records with a logging bridge.
+"""Structured events: flat, JSON-serializable records of what happened.
 
 Counters say *how often*; events say *what exactly happened*. Each event
 is one flat dict — an event type, a monotonically increasing sequence
-number, an optional clock timestamp, and the caller's fields — suitable
-for JSON-lines files, test assertions, or forwarding into stdlib
-``logging``.
+number, and the caller's fields — kept in memory for test assertions and
+post-run inspection::
 
-Sinks are plain callables taking the finished event dict, so fan-out is
-composition, not configuration::
-
-    log = EventLog(sinks=[jsonl_sink(fp), logging_sink(logger)])
+    log = EventLog()
     log.emit("admission_decision", app_class="web", admitted=True)
 
-Field values must be JSON-serializable scalars or small containers; the
-emitter serializes with ``sort_keys`` so byte output is deterministic
-for a given event stream.
+Field values must be JSON-serializable scalars or small containers, so
+``json.dumps(event, sort_keys=True)`` is byte-deterministic for a given
+event stream.
 """
 
 from __future__ import annotations
 
-import json
-import logging
-from typing import Any, Callable, Dict, IO, List, Optional, Sequence
+from typing import Any, Dict, List
 
-from repro.obs.clock import Clock
-
-__all__ = [
-    "EventDict",
-    "EventSink",
-    "EventLog",
-    "NullEventLog",
-    "jsonl_sink",
-    "logging_sink",
-]
+__all__ = ["EventDict", "EventLog", "NullEventLog"]
 
 EventDict = Dict[str, Any]
-EventSink = Callable[[EventDict], None]
-
-
-def jsonl_sink(stream: IO[str]) -> EventSink:
-    """A sink writing one sorted-key JSON object per line to ``stream``."""
-
-    def _write(event: EventDict) -> None:
-        stream.write(json.dumps(event, sort_keys=True, default=str))
-        stream.write("\n")
-
-    return _write
-
-
-def logging_sink(
-    logger: Optional[logging.Logger] = None, level: int = logging.INFO
-) -> EventSink:
-    """A sink forwarding events into stdlib :mod:`logging`.
-
-    The record message is the event type; the full dict rides along both
-    as the formatted payload and as ``record.event`` for structured
-    handlers.
-    """
-    log = logger if logger is not None else logging.getLogger("repro.obs")
-
-    def _forward(event: EventDict) -> None:
-        log.log(
-            level,
-            "%s %s",
-            event.get("event", "?"),
-            json.dumps(event, sort_keys=True, default=str),
-            extra={"event": dict(event)},
-        )
-
-    return _forward
 
 
 class EventLog:
-    """In-memory event recorder with optional sink fan-out.
-
-    Parameters
-    ----------
-    sinks:
-        Callables invoked with each finished event dict.
-    clock:
-        Optional seconds source; when given, each event carries a
-        ``"time"`` field. Left out by default so recorded streams are
-        bit-deterministic (sequence numbers alone order them).
-    keep:
-        Retain events on ``self.records`` (disable for long runs that
-        only need sinks).
-    """
+    """In-memory event recorder; ``records`` holds every event emitted."""
 
     enabled: bool = True
 
-    def __init__(
-        self,
-        sinks: Optional[Sequence[EventSink]] = None,
-        clock: Optional[Clock] = None,
-        keep: bool = True,
-    ) -> None:
-        self.sinks: List[EventSink] = list(sinks or [])
-        self.clock = clock
-        self.keep = keep
+    def __init__(self) -> None:
         self.records: List[EventDict] = []
         self._seq = 0
 
     def emit(self, event_type: str, **fields: Any) -> EventDict:
         """Record one event; returns the finished dict."""
         event: EventDict = {"event": event_type, "seq": self._seq}
-        if self.clock is not None:
-            event["time"] = self.clock()
         event.update(fields)
         self._seq += 1
-        if self.keep:
-            self.records.append(event)
-        for sink in self.sinks:
-            sink(event)
+        self.records.append(event)
         return event
 
     def of_type(self, event_type: str) -> List[EventDict]:
@@ -130,9 +55,6 @@ class NullEventLog(EventLog):
 
     enabled = False
     _EMPTY: EventDict = {}
-
-    def __init__(self) -> None:
-        super().__init__(sinks=None, clock=None, keep=False)
 
     def emit(self, event_type: str, **fields: Any) -> EventDict:
         return self._EMPTY

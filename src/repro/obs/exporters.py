@@ -1,5 +1,5 @@
-"""Exporters: JSON snapshots (``BENCH_*.json``), Prometheus text, and
-Chrome trace-event timelines.
+"""Exporters: JSON snapshots (``BENCH_*.json``) and Chrome trace-event
+timelines.
 
 The JSON snapshot is the canonical interchange form — a plain dict of
 counters, gauges, and histograms that round-trips losslessly through
@@ -7,11 +7,6 @@ counters, gauges, and histograms that round-trips losslessly through
 extrema). ``BENCH_*.json`` files written by :func:`write_bench_json` are
 exactly this snapshot plus a caller-supplied ``meta`` block, which is
 what CI uploads to start the performance trajectory.
-
-:func:`to_prometheus` renders the same registry in the Prometheus text
-exposition format (metric names are dot-separated internally and
-underscore-flattened on export) for anyone pointing a real scrape at a
-long-lived run.
 
 :func:`to_chrome_trace` turns a tracer's finished span trees into the
 Chrome trace-event format, so one experiment's timing becomes a timeline
@@ -35,7 +30,6 @@ __all__ = [
     "load_snapshot",
     "snapshot_json",
     "write_bench_json",
-    "to_prometheus",
     "to_chrome_trace",
     "write_chrome_trace",
 ]
@@ -171,41 +165,3 @@ def write_chrome_trace(
         encoding="utf-8",
     )
     return path
-
-
-def _prom_name(name: str) -> str:
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch == "_" else "_")
-    flat = "".join(out)
-    return flat if not flat[:1].isdigit() else "_" + flat
-
-
-def _prom_value(value: float) -> str:
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Prometheus text exposition of the registry, sorted by name."""
-    lines: List[str] = []
-    for name, counter in registry.counters().items():
-        flat = _prom_name(name)
-        lines.append(f"# TYPE {flat} counter")
-        lines.append(f"{flat} {_prom_value(counter.value)}")
-    for name, gauge in registry.gauges().items():
-        flat = _prom_name(name)
-        lines.append(f"# TYPE {flat} gauge")
-        lines.append(f"{flat} {_prom_value(gauge.value)}")
-    for name, hist in registry.histograms().items():
-        flat = _prom_name(name)
-        lines.append(f"# TYPE {flat} histogram")
-        cumulative = 0
-        for bound, count in hist.bucket_counts():
-            cumulative += count
-            label = "+Inf" if math.isinf(bound) else _prom_value(bound)
-            lines.append(f'{flat}_bucket{{le="{label}"}} {cumulative}')
-        lines.append(f"{flat}_sum {_prom_value(hist.sum)}")
-        lines.append(f"{flat}_count {hist.count}")
-    return "\n".join(lines) + ("\n" if lines else "")

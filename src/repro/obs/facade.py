@@ -14,24 +14,18 @@ Wiring::
     exbox = ExBox.with_defaults(batch_size=20, obs=obs)
     ...
     print(snapshot_json(obs.registry))
-
-``obs_from_env`` turns the ``REPRO_OBS`` environment variable into a
-recording handle, which is how CI flips the latency benchmark from dark
-to instrumented without touching its code.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.obs.clock import Clock
-from repro.obs.events import EventDict, EventLog, EventSink, NullEventLog
-from repro.obs.recorder import NULL_RECORDER, FlightRecorder
+from repro.obs.events import EventDict, EventLog, NullEventLog
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, NullRegistry
 from repro.obs.tracing import NullTracer, SpanHandle, Tracer
 
-__all__ = ["Obs", "NULL_OBS", "obs_from_env"]
+__all__ = ["Obs", "NULL_OBS"]
 
 
 class Obs:
@@ -43,16 +37,11 @@ class Obs:
     """
 
     def __init__(
-        self,
-        registry: MetricsRegistry,
-        tracer: Tracer,
-        events: EventLog,
-        recorder: Optional[FlightRecorder] = None,
+        self, registry: MetricsRegistry, tracer: Tracer, events: EventLog
     ) -> None:
         self.registry = registry
         self.tracer = tracer
         self.events = events
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
 
     @property
     def enabled(self) -> bool:
@@ -62,29 +51,15 @@ class Obs:
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def recording(
-        cls,
-        clock: Optional[Clock] = None,
-        event_sinks: Optional[Sequence[EventSink]] = None,
-        event_clock: Optional[Clock] = None,
-        recorder: Optional[FlightRecorder] = None,
-    ) -> "Obs":
-        """A live handle: recording registry, span-fed histograms, and a
-        decision flight recorder.
+    def recording(cls, clock: Optional[Clock] = None) -> "Obs":
+        """A live handle: recording registry, span-fed histograms, and an
+        in-memory event log.
 
-        ``clock`` drives span timing (``perf_counter`` by default);
-        ``event_clock`` — separate, off by default — timestamps events.
-        ``recorder`` defaults to a fresh bounded :class:`FlightRecorder`
-        (a deque append per decision; pass ``NULL_RECORDER`` to opt out).
+        ``clock`` drives span timing (``perf_counter`` by default).
         """
         registry = MetricsRegistry()
         tracer = Tracer(clock=clock, registry=registry)
-        events = EventLog(sinks=event_sinks, clock=event_clock)
-        if recorder is None:
-            recorder = FlightRecorder()
-        return cls(
-            registry=registry, tracer=tracer, events=events, recorder=recorder
-        )
+        return cls(registry=registry, tracer=tracer, events=EventLog())
 
     @classmethod
     def disabled(cls) -> "Obs":
@@ -119,19 +94,3 @@ class _NullObs(Obs):
 
 #: The default ``obs`` everywhere: shared, inert, allocation-free.
 NULL_OBS: Obs = _NullObs()
-
-
-def obs_from_env(environ: Optional[Mapping[str, str]] = None) -> Obs:
-    """``Obs.recording()`` when ``REPRO_OBS`` is set truthy, else inert.
-
-    Recognized values for enabling: anything except ``""``, ``"0"``,
-    ``"false"``, ``"no"`` (case-insensitive). ``REPRO_OBS_EXPORT=<path>``
-    (checked by callers, see ``benchmarks/test_latency.py``) names the
-    snapshot file to write afterwards and also implies enabling.
-    """
-    env = environ if environ is not None else os.environ
-    flag = env.get("REPRO_OBS", "").strip().lower()
-    enabled = flag not in ("", "0", "false", "no")
-    if not enabled and env.get("REPRO_OBS_EXPORT", "").strip():
-        enabled = True
-    return Obs.recording() if enabled else NULL_OBS

@@ -15,28 +15,19 @@ duration is also observed into a histogram named after the span, which
 is how ``admittance.retrain`` becomes a latency distribution in the
 exported snapshot.
 
-``span`` doubles as a decorator::
-
-    @tracer.span("simulation.episode")
-    def run_episode(...): ...
-
 The :class:`NullTracer` keeps the same API at one no-op context-manager
 per call, so instrumented code never branches on "is tracing on?".
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, TypeVar
+from typing import Any, List, Optional
 
 from repro.obs.clock import MONOTONIC, Clock
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["SpanRecord", "SpanHandle", "Tracer", "NullTracer"]
-
-F = TypeVar("F", bound=Callable[..., Any])
-
 
 @dataclass
 class SpanRecord:
@@ -61,7 +52,7 @@ class SpanRecord:
 
 
 class SpanHandle:
-    """Context manager / decorator for one named region of a tracer."""
+    """Context manager for one named region of a tracer."""
 
     __slots__ = ("_tracer", "_name", "_record")
 
@@ -79,14 +70,6 @@ class SpanHandle:
         self._record = None
         if record is not None:
             self._tracer._close(record)
-
-    def __call__(self, fn: F) -> F:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with self._tracer.span(self._name):
-                return fn(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
 
 
 class Tracer:
@@ -116,7 +99,7 @@ class Tracer:
         self._stack: List[SpanRecord] = []
 
     def span(self, name: str) -> SpanHandle:
-        """A context manager (and decorator) timing ``name``."""
+        """A context manager timing ``name``."""
         return SpanHandle(self, name)
 
     def _open(self, name: str) -> SpanRecord:
@@ -158,7 +141,7 @@ class Tracer:
 
 
 class _NullSpanHandle:
-    """Shared inert context manager; also works as a decorator."""
+    """Shared inert context manager."""
 
     __slots__ = ()
 
@@ -167,9 +150,6 @@ class _NullSpanHandle:
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         return None
-
-    def __call__(self, fn: F) -> F:
-        return fn
 
 
 class NullTracer(Tracer):

@@ -598,10 +598,36 @@ class TestObsCatalogueParsing:
             "exbox.handle_arrival",
             "admittance.margin",
             "latency.eval.precision",
-            "alert_fired",
-            "recorder_dump",
+            "phase_transition",
+            "revalidation_revoked",
         ):
             assert context.knows_obs_name(name), name
+
+    def test_structured_events_catalogue_matches_emitters(self):
+        # Both directions: every event type the library emits is listed
+        # under "Structured events", and every listed type is emitted.
+        import ast
+        import re
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        doc = (root / "docs" / "observability.md").read_text(encoding="utf-8")
+        section = doc.split("## Structured events", 1)[1].split("\n## ", 1)[0]
+        listed = set(re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE))
+        emitted = set()
+        for path in sorted((root / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "emit"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)
+                ):
+                    emitted.add(node.args[0].value)
+        assert emitted
+        assert listed == emitted
 
 
 # ----------------------------------------------------------------------

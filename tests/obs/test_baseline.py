@@ -73,36 +73,36 @@ class TestCheckBaseline:
         assert not result.ok
         assert len(result.failures) == 2
 
-    def test_gauge_max_rise_direction(self):
+    def test_removed_rule_kind_is_a_breach(self):
+        # max_rise/max_abs are not gate rules; an unknown key must not
+        # silently fall back to a default max_drop.
         gate = {"gauges": {"latency.eval.precision": {"max_rise": 0.05}}}
-        base = payload(gate=gate)
-        assert check_baseline(base, payload(precision=0.92)).ok
-        assert not check_baseline(base, payload(precision=0.99)).ok
+        result = check_baseline(payload(gate=gate), payload())
+        (failure,) = result.failures
+        assert "unknown rule key(s): max_rise" in failure.detail
 
-    def test_empty_baseline_histogram_skips_without_max_abs(self):
+    def test_empty_baseline_histogram_is_a_breach(self):
         base = payload(latencies=[], gate=GATE)
         result = check_baseline(base, payload())
         hist_check = [c for c in result.checks if c.kind == "histogram"][0]
-        assert hist_check.ok
-        assert "skipped" in hist_check.detail
-
-    def test_empty_baseline_histogram_with_max_abs_enforced(self):
-        gate = {
-            "histograms": {
-                "latency.decision": {"stat": "p99", "max_abs": 0.01}
-            }
-        }
-        base = payload(latencies=[], gate=gate)
-        assert check_baseline(base, payload()).ok
-        assert not check_baseline(base, payload(latencies=[0.4])).ok
+        assert not hist_check.ok
+        assert "empty or zero in baseline" in hist_check.detail
+        assert not result.ok
 
     def test_explicit_gate_overrides_payload_gate(self):
         base = payload(gate=GATE)
-        result = check_baseline(base, payload(), gate={})
-        assert result.ok and result.checks == []
+        only_precision = {"gauges": {"latency.eval.precision": {"max_drop": 0.1}}}
+        result = check_baseline(
+            base, payload(latencies=[0.4]), gate=only_precision
+        )
+        assert result.ok
+        assert [c.name for c in result.checks] == ["latency.eval.precision"]
 
-    def test_no_gate_block_passes_trivially(self):
-        assert check_baseline(payload(), payload()).ok
+    def test_no_gate_block_is_a_breach(self):
+        result = check_baseline(payload(), payload())
+        assert not result.ok
+        assert "no gate rules" in result.render()
+        assert "baseline gate: 1 breach(es)" in result.render()
 
 
 class TestCommittedBaseline:

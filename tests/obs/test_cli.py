@@ -39,15 +39,13 @@ def test_render_empty_snapshot():
     assert "empty" in text
 
 
-def test_main_summary_and_prometheus(tmp_path):
+def test_main_bare_snapshot_means_summary(tmp_path):
     path = bench_file(tmp_path)
     out = io.StringIO()
     assert obs_main(["--snapshot", str(path)], out=out) == 0
-    assert "exbox.decisions.admitted" in out.getvalue()
-
-    out = io.StringIO()
-    assert obs_main(["--snapshot", str(path), "--format", "prometheus"], out=out) == 0
-    assert 'admittance_retrain_bucket{le="+Inf"} 1' in out.getvalue()
+    assert out.getvalue() == render_snapshot(
+        json.loads(path.read_text(encoding="utf-8"))
+    )
 
 
 def test_main_missing_snapshot_returns_2(tmp_path):
@@ -68,54 +66,6 @@ def test_explicit_summary_subcommand(tmp_path):
     out = io.StringIO()
     assert obs_main(["summary", "--snapshot", str(path)], out=out) == 0
     assert "exbox.decisions.admitted" in out.getvalue()
-
-
-# ----------------------------------------------------------------------
-# watch
-# ----------------------------------------------------------------------
-def test_watch_counts_ticks_and_reports_no_change(tmp_path):
-    path = bench_file(tmp_path)
-    out = io.StringIO()
-    rc = obs_main(
-        ["watch", "--snapshot", str(path), "--interval", "0", "--count", "3"],
-        out=out,
-    )
-    assert rc == 0
-    text = out.getvalue()
-    assert text.count("watch tick") == 3
-    assert "(no change since last tick)" in text
-
-
-def test_watch_reports_delta_between_ticks(tmp_path, monkeypatch):
-    path = bench_file(tmp_path)
-
-    def bump(_seconds):
-        # Rewrite the snapshot during the inter-tick sleep, as a live
-        # run holding REPRO_OBS_EXPORT open would.
-        reg = MetricsRegistry()
-        reg.counter("exbox.decisions.admitted").inc(20)
-        write_bench_json(path, reg, meta={"suite": "latency"})
-
-    monkeypatch.setattr("repro.obs.cli.time.sleep", bump)
-    out = io.StringIO()
-    rc = obs_main(
-        ["watch", "--snapshot", str(path), "--interval", "1", "--count", "2"],
-        out=out,
-    )
-    assert rc == 0
-    assert "since last tick:" in out.getvalue()
-    assert "+8" in out.getvalue()  # 12 -> 20 admitted
-
-
-def test_watch_tolerates_missing_snapshot(tmp_path):
-    out = io.StringIO()
-    rc = obs_main(
-        ["watch", "--snapshot", str(tmp_path / "nope.json"),
-         "--interval", "0", "--count", "1"],
-        out=out,
-    )
-    assert rc == 0
-    assert "waiting" in out.getvalue()
 
 
 # ----------------------------------------------------------------------

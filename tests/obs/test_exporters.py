@@ -1,4 +1,4 @@
-"""Snapshot round-trip, BENCH file format, and Prometheus exposition."""
+"""Snapshot round-trip and the BENCH file format."""
 
 import json
 import math
@@ -10,7 +10,6 @@ from repro.obs import (
     load_snapshot,
     snapshot,
     snapshot_json,
-    to_prometheus,
     write_bench_json,
 )
 
@@ -71,23 +70,6 @@ def test_write_bench_json(tmp_path):
     assert payload["metrics"] == snapshot(populated_registry())
 
 
-def test_prometheus_exposition():
-    text = to_prometheus(populated_registry())
-    lines = text.splitlines()
-    assert "# TYPE exbox_decisions_admitted counter" in lines
-    assert "exbox_decisions_admitted 7.0" in lines
-    assert "exbox_flows_active 4.0" in lines
-    # Bucket counts are cumulative and end at +Inf == total count.
-    assert 'admittance_retrain_bucket{le="+Inf"} 4' in lines
-    assert 'admittance_retrain_bucket{le="0.01"} 1' in lines
-    assert "admittance_retrain_count 4" in lines
-    assert text.endswith("\n")
-
-
-def test_prometheus_of_empty_registry_is_empty():
-    assert to_prometheus(MetricsRegistry()) == ""
-
-
 def test_load_snapshot_restores_inf_bound():
     reg = populated_registry()
     rebuilt = load_snapshot(snapshot(reg))
@@ -104,18 +86,6 @@ def test_empty_registry_snapshot_round_trips():
     rebuilt = load_snapshot(json.loads(json.dumps(snap)))
     assert len(rebuilt) == 0
     assert snapshot(rebuilt) == snap
-
-
-def test_prometheus_histogram_with_zero_observations():
-    reg = MetricsRegistry()
-    reg.histogram("latency.decision", buckets=[0.001, 0.01])
-    text = to_prometheus(reg)
-    lines = text.splitlines()
-    assert "# TYPE latency_decision histogram" in lines
-    assert 'latency_decision_bucket{le="0.001"} 0' in lines
-    assert 'latency_decision_bucket{le="+Inf"} 0' in lines
-    assert "latency_decision_count 0" in lines
-    assert "latency_decision_sum 0.0" in lines
 
 
 def test_snapshot_round_trips_after_registry_reset():

@@ -1,8 +1,6 @@
-"""The Obs facade: wiring, NULL_OBS inertness, env activation."""
+"""The Obs facade: wiring and NULL_OBS inertness."""
 
-import pytest
-
-from repro.obs import NULL_OBS, ManualClock, Obs, obs_from_env
+from repro.obs import NULL_OBS, ManualClock, Obs
 
 
 def test_recording_wires_tracer_to_registry():
@@ -36,32 +34,3 @@ def test_null_obs_is_shared_and_inert():
         pass
     assert NULL_OBS.emit("anything", k=1) == {}
     assert len(NULL_OBS.registry) == 0
-
-
-def test_event_clock_is_separate_from_span_clock():
-    span_clock = ManualClock(start=100.0)
-    event_clock = ManualClock(start=7.0)
-    obs = Obs.recording(clock=span_clock, event_clock=event_clock)
-    event = obs.emit("tick")
-    assert event["time"] == pytest.approx(7.0)
-
-
-class TestObsFromEnv:
-    def test_disabled_by_default(self):
-        assert obs_from_env({}) is NULL_OBS
-
-    def test_falsey_values_stay_disabled(self):
-        for value in ("", "0", "false", "FALSE", "no", "No"):
-            assert obs_from_env({"REPRO_OBS": value}) is NULL_OBS
-
-    def test_truthy_value_enables(self):
-        obs = obs_from_env({"REPRO_OBS": "1"})
-        assert obs.enabled is True
-        assert obs is not NULL_OBS
-
-    def test_export_path_implies_enabled(self):
-        obs = obs_from_env({"REPRO_OBS_EXPORT": "BENCH_obs.json"})
-        assert obs.enabled is True
-
-    def test_blank_export_path_does_not_enable(self):
-        assert obs_from_env({"REPRO_OBS_EXPORT": "  "}) is NULL_OBS

@@ -3,6 +3,7 @@ the inert default changes nothing (bit-identical decisions)."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.baselines import MaxClientAdmission
@@ -91,6 +92,17 @@ class TestZeroOverheadDisabled:
         assert dark.carried_flow_minutes == lit.carried_flow_minutes
         assert dark.ok_flow_minutes == lit.ok_flow_minutes
 
+    def test_lit_episode_makes_as_many_kernel_passes_as_dark(self, kernel_passes):
+        _run_episode(obs=None)
+        dark = len(kernel_passes)
+        kernel_passes.clear()
+        obs = Obs.recording()
+        _run_episode(obs=obs)
+        assert dark > 0
+        assert len(kernel_passes) == dark
+        # ExBoxScheme decides through classify: no margin is read.
+        assert obs.registry.histogram("admittance.margin").count == 0
+
     def test_null_obs_records_nothing(self):
         result = run_closed_loop(
             MaxClientAdmission(10),
@@ -154,122 +166,45 @@ class TestLatencyHelpersFeedRegistry:
             measure_admission_quality(MaxClientAdmission(10), [])
 
 
-class TestFlightRecorderWiring:
-    """Per-decision records flow from the pipeline into the black box."""
+class TestDecisionEvents:
+    """One ``admission_decision`` event per decision, JSON-serializable."""
 
-    def test_closedloop_decisions_are_recorded(self):
+    def test_closedloop_emits_one_scheme_event_per_decision(self):
         obs = Obs.recording()
         result = _run_episode(obs=obs)
-        total = result.admitted + result.rejected
-        assert obs.recorder.total_recorded == total
-        records = obs.recorder.records()
-        assert len(records) == min(total, obs.recorder.capacity)
-        admitted_flags = [r.admitted for r in records]
-        assert any(admitted_flags) and not all(admitted_flags)
-        # Online-phase records carry the SVM margin; every record dumps
-        # as one valid JSON line.
-        online = [r for r in records if r.phase == "online"]
-        assert online and all(r.margin is not None for r in online)
-        for line in obs.recorder.dump().splitlines():
-            parsed = json.loads(line)
-            assert parsed["scheme"] == "ExBox"
-            assert isinstance(parsed["matrix"], list)
+        events = obs.events.of_type("admission_decision")
+        assert len(events) == result.admitted + result.rejected
+        assert any(e["admitted"] for e in events)
+        assert not all(e["admitted"] for e in events)
+        for event in events:
+            assert event["scheme"] == "ExBox"
+            assert "margin" not in event  # scheme-generic: no re-query
+            assert json.loads(json.dumps(event, sort_keys=True)) == event
 
-    def test_exbox_handle_arrival_records_with_elapsed(self):
+    def test_exbox_emits_one_event_per_arrival(self):
         from repro.core.exbox import ExBox
-        from repro.obs import ManualClock
         from repro.traffic.flows import FlowRequest
 
-        obs = Obs.recording(clock=ManualClock(tick=0.001))
-        exbox = ExBox.with_defaults(batch_size=10, obs=obs)
-        exbox.handle_arrival(
-            FlowRequest(app_class="streaming", snr_db=30.0, client_id=1)
+        obs = Obs.recording()
+        box = ExBox.with_defaults(batch_size=10, min_bootstrap_samples=10, obs=obs)
+        box.handle_arrival(FlowRequest(app_class="streaming", snr_db=30.0, client_id=1))
+        rng = np.random.default_rng(36)
+        while not box.admittance.is_online:
+            counts = rng.integers(0, 5, size=3).astype(float)
+            x = np.append(counts, float(rng.integers(0, 3)))
+            box.admittance.observe_bootstrap(x, 1 if counts.sum() <= 5 else -1)
+        matrix_before = list(box.current_matrix.counts)
+        decision = box.handle_arrival(
+            FlowRequest(app_class="web", snr_db=30.0, client_id=2)
         )
-        (record,) = obs.recorder.records()
-        assert record.phase == "bootstrap"
-        assert record.admitted is True
-        assert record.margin is None  # bootstrap admits unconditionally
-        assert record.elapsed_s is not None and record.elapsed_s > 0
-
-    def test_null_obs_recorder_stays_empty(self):
-        run_closed_loop(
-            MaxClientAdmission(10),
-            WiFiTestbed(),
-            seed=3,
-            duration_min=5,
-            obs=NULL_OBS,
-        )
-        assert NULL_OBS.recorder.enabled is False
-        assert len(NULL_OBS.recorder) == 0
-
-
-class TestAlertPostMortemFlow:
-    """The ISSUE acceptance demo: slow run -> alert -> dump -> diff."""
-
-    def test_slow_run_fires_alert_dumps_and_diffs(self):
-        from repro.obs import AlertEngine, ManualClock, rules_from_dict, snapshot
-        from repro.obs.diffing import diff_snapshots
-
-        rules = rules_from_dict(
-            {
-                "rules": [
-                    {
-                        "name": "decision-latency-slo",
-                        "metric": "latency.decision",
-                        "stat": "p99",
-                        "op": ">",
-                        "value": 0.05,
-                        "for_n_samples": 2,
-                    }
-                ]
-            }
-        )
-
-        def run(decision_seconds):
-            # Synthetic decision loop on a manual clock: each decision
-            # takes exactly `decision_seconds`, recorded per arrival.
-            clock = ManualClock()
-            obs = Obs.recording(clock=clock)
-            engine = AlertEngine(rules, obs=obs, dump_last_n=8)
-            for i in range(20):
-                with obs.span("latency.decision"):
-                    clock.advance(decision_seconds)
-                obs.recorder.record(
-                    matrix=(i % 3, 1, 0),
-                    app_class="video",
-                    snr_level=0,
-                    phase="online",
-                    admitted=i % 2 == 0,
-                    margin=0.2,
-                    elapsed_s=decision_seconds,
-                )
-                if (i + 1) % 5 == 0:  # batch-boundary checkpoint
-                    engine.evaluate()
-            return obs, engine
-
-        fast_obs, fast_engine = run(0.001)
-        assert fast_engine.fired == []
-
-        slow_obs, slow_engine = run(0.2)
-        # The rule held for 2 consecutive checkpoints, then fired once.
-        assert [e.rule for e in slow_engine.fired] == ["decision-latency-slo"]
-        event = slow_engine.fired[0]
-        assert event.observed > 0.05
-
-        # The firing dumped the post-mortem window as valid JSON-lines.
-        lines = event.dump.splitlines()
-        assert len(lines) == 8
-        for line in lines:
-            parsed = json.loads(line)
-            assert parsed["elapsed_s"] == pytest.approx(0.2)
-        assert slow_obs.events.of_type("alert_fired")
-        assert slow_obs.events.of_type("recorder_dump")
-
-        # And `obs diff` pins the regression on the latency histogram.
-        diff = diff_snapshots(
-            snapshot(fast_obs.registry), snapshot(slow_obs.registry)
-        )
-        (hist,) = [h for h in diff.histograms if h.changed]
-        assert hist.name == "latency.decision"
-        assert hist.ratio("p99") > 10
-        assert "latency.decision" in diff.render()
+        boot, online = obs.events.of_type("admission_decision")
+        assert boot["phase"] == "bootstrap" and boot["admitted"] is True
+        assert boot["margin"] is None  # bootstrap admits unconditionally
+        assert boot["matrix"] == [0] * len(matrix_before)
+        assert online["phase"] == "online"
+        assert decision.margin is not None
+        assert online["margin"] == decision.margin
+        assert online["admitted"] is decision.admitted
+        assert online["matrix"] == matrix_before  # what the classifier saw
+        for event in (boot, online):
+            assert json.loads(json.dumps(event, sort_keys=True)) == event
