@@ -145,6 +145,9 @@ def build_simulation_dataset(
     from repro.wireless.qos import FlowQoS
 
     binner = binner or SnrBinner.single_level()
+    app_models = {
+        cls: (app_model_for_class(cls), threshold_for_class(cls)) for cls in APP_CLASSES
+    }
     samples: List[LabeledSample] = []
     for matrix in matrices:
         specs = _expand_matrix_to_specs(
@@ -173,7 +176,8 @@ def build_simulation_dataset(
                     delay_s=max(qos.delay_s / factor, 1e-4),
                     loss_rate=qos.loss_rate,
                 )
-            qoe = app_model_for_class(flow.app_class).measure_qoe(qos)
+            app_model, threshold = app_models[flow.app_class]
+            qoe = app_model.measure_qoe(qos)
             records.append(
                 FlowRecord(
                     flow_id=flow.flow_id,
@@ -182,7 +186,7 @@ def build_simulation_dataset(
                     snr_level=binner.level_index(flow.snr_db),
                     qos=qos,
                     qoe=qoe,
-                    acceptable=threshold_for_class(flow.app_class).is_acceptable(qoe),
+                    acceptable=threshold.is_acceptable(qoe),
                 )
             )
         run = MatrixRun(records=tuple(records))

@@ -163,6 +163,10 @@ def fig2_heatmaps(
     avg_grid = np.full((len(counts), len(counts)), np.nan)
 
     snr = 53.0
+    app_models = {
+        cls: (app_model_for_class(cls), threshold_for_class(cls))
+        for cls in (STREAMING, CONFERENCING)
+    }
     for i, n_stream in enumerate(counts):
         for j, n_conf in enumerate(counts):
             if n_stream + n_conf == 0:
@@ -180,14 +184,11 @@ def fig2_heatmaps(
             allocation = cell.allocate(offered)
             normalized: Dict[str, List[float]] = {STREAMING: [], CONFERENCING: []}
             for flow in offered:
-                qoe = app_model_for_class(flow.app_class).measure_qoe(
-                    allocation[flow.flow_id]
-                )
+                app_model, threshold = app_models[flow.app_class]
+                qoe = app_model.measure_qoe(allocation[flow.flow_id])
                 best, worst = _NORM_ANCHORS[flow.app_class]
                 normalized[flow.app_class].append(
-                    normalized_from_metric(
-                        qoe, threshold_for_class(flow.app_class), best, worst
-                    )
+                    normalized_from_metric(qoe, threshold, best, worst)
                 )
             if normalized[STREAMING]:
                 stream_grid[i, j] = float(np.median(normalized[STREAMING]))

@@ -12,7 +12,7 @@ from repro.netem.shaping import Shaper
 from repro.qoe.thresholds import threshold_for_class
 from repro.testbed.controller import FlowRecord, MatrixRun
 from repro.testbed.devices import MobileDevice
-from repro.traffic.flows import DEFAULT_PROFILES
+from repro.traffic.flows import APP_CLASSES, DEFAULT_PROFILES
 from repro.wireless.channel import SnrBinner
 from repro.wireless.fluid import OfferedFlow
 from repro.wireless.qos import FlowQoS
@@ -44,6 +44,12 @@ class EmulatedTestbed(abc.ABC):
         self.binner = binner or SnrBinner.single_level()
         self.shaper = shaper or Shaper()
         self.qos_noise = float(qos_noise)
+        # App models and thresholds are stateless, so one per class serves
+        # every measurement.
+        self._app_models = {
+            cls: (app_model_for_class(cls), threshold_for_class(cls))
+            for cls in APP_CLASSES
+        }
 
     # -- radio model -----------------------------------------------------
     @abc.abstractmethod
@@ -119,9 +125,8 @@ class EmulatedTestbed(abc.ABC):
             qos = allocation[flow.flow_id]
             qos = self.shaper.apply_to_qos(qos)
             qos = self._noisy(qos, rng)
-            app_model = app_model_for_class(flow.app_class)
+            app_model, threshold = self._app_models[flow.app_class]
             qoe = app_model.measure_qoe(qos)
-            threshold = threshold_for_class(flow.app_class)
             records.append(
                 FlowRecord(
                     flow_id=flow.flow_id,

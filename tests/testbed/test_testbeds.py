@@ -1,8 +1,12 @@
 """Tests for the emulated WiFi and LTE testbeds."""
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.netem.shaping import Shaper
+from repro.testbed import base
 from repro.testbed.lte_testbed import LTETestbed
 from repro.testbed.wifi_testbed import WiFiTestbed
 from repro.traffic.flows import CONFERENCING, STREAMING, WEB
@@ -94,3 +98,33 @@ class TestLTETestbed:
         wifi_hit = wifi_mixed.records[0].qoe - wifi_clean.records[0].qoe
         lte_hit = lte_mixed.records[0].qoe - lte_clean.records[0].qoe
         assert lte_hit < wifi_hit
+
+
+_MIXED = [(WEB, 30.0), (STREAMING, 14.0), (CONFERENCING, 53.0), (STREAMING, 53.0)]
+
+
+@pytest.mark.parametrize("make", [WiFiTestbed, LTETestbed], ids=["wifi", "lte"])
+class TestReusedAppModels:
+    def test_run_flows_builds_no_app_models(self, make, monkeypatch):
+        testbed = make()
+        lookups = []
+
+        def counting(app_class):
+            lookups.append(app_class)
+            raise AssertionError("app model built during a measurement")
+
+        monkeypatch.setattr(base, "app_model_for_class", counting)
+        monkeypatch.setattr(base, "threshold_for_class", counting)
+        run = testbed.run_flows(_MIXED, rng=np.random.default_rng(5),
+                                background_specs=[(WEB, 30.0)])
+        assert len(run.records) == len(_MIXED) + 1
+        assert lookups == []
+
+    def test_deepcopy_measures_identically(self, make):
+        # perfbench deep-copies the post-set-up state before every pass.
+        testbed = make()
+        clone = copy.deepcopy(testbed)
+        for specs in (_MIXED, _MIXED[:1], [(STREAMING, 53.0)] * 6):
+            ours = testbed.run_flows(specs, rng=np.random.default_rng(9))
+            theirs = clone.run_flows(specs, rng=np.random.default_rng(9))
+            assert ours == theirs
