@@ -5,13 +5,14 @@ cost (~360 ms at 50 samples, >2 s at 1000 with the authors' stack). The
 amortization work — incremental Gram cache, warm-started SMO, frozen
 kernel epochs — attacks exactly that term. This benchmark replays a
 seeded ~1000-arrival closed-loop workload twice, once with the amortized
-path and once fully cold, and compares the cumulative online-phase
-retrain wall-clock.
+path and once fully cold, and compares the SMO work (``svm.smo.steps``,
+deterministic) and the cumulative online-phase retrain wall-clock.
 
 With ``REPRO_OBS_EXPORT=<path>`` in the environment (CI sets
 ``BENCH_perf.json``), the amortized run is instrumented and the snapshot
 — ``admittance.retrain`` span latencies, ``retrain.amortization`` reuse
-fractions, ``gram.cache.*`` counters, plus precision/recall gauges
+fractions, ``gram.cache.*`` and ``svm.smo.steps`` counters, plus
+precision/recall gauges
 computed against the closed loop's measured ground truth — is written
 for artifact upload and gated against
 ``benchmarks/baselines/BENCH_baseline_perf.json`` by
@@ -33,6 +34,10 @@ from repro.testbed.wifi_testbed import WiFiTestbed
 DURATION_MIN = 250
 ARRIVALS_PER_MIN = 4.0
 SEED = 17
+#: Floor on cold/warm SMO pair rounds. Seed 17 measures 17,171 / 12,316
+#: ~= 1.39; the floor leaves room for label or schedule changes while a
+#: warm start that seeds nothing (ratio 1.0) still fails.
+MIN_STEP_RATIO = 1.25
 
 
 class _TraceScheme(ExBoxScheme):
@@ -78,10 +83,11 @@ def _run(amortized, obs):
 def test_retrain_amortization(benchmark, show):
     export = os.environ.get("REPRO_OBS_EXPORT", "").strip()
     obs_warm = Obs.recording()
+    obs_cold = Obs.recording()
 
     def _both():
         warm = _run(amortized=True, obs=obs_warm)
-        cold = _run(amortized=False, obs=Obs.recording())
+        cold = _run(amortized=False, obs=obs_cold)
         return warm, cold
 
     warm, cold = benchmark.pedantic(_both, rounds=1, iterations=1)
@@ -90,14 +96,17 @@ def test_retrain_amortization(benchmark, show):
     assert n > 900  # the workload really is ~1000 arrivals
     assert len(cold.decisions) == n
 
-    # Amortization must pay. The floor is deliberately loose — shared CI
-    # machines are noisy and the warm-vs-cold delta *within* the current
-    # code understates the win (the cold path shares the second-order
-    # solver). The headline >= 2x is measured against the pre-amortization
-    # tree (see docs/performance.md); regressions are gated by
-    # `python -m repro obs check` on the retrain-latency histogram.
+    # The warm start must pay, checked on deterministic work: SMO pair
+    # rounds, identical on every machine and run. Wall-clock is only
+    # reported (and exported as the ``retrain_perf.speedup`` gauge); the
+    # warm-vs-cold delta *within* the current code understates the win
+    # (the cold path shares the second-order solver), and retrain-latency
+    # regressions are gated by `python -m repro obs check`.
+    steps_warm = obs_warm.registry.counter("svm.smo.steps").value
+    steps_cold = obs_cold.registry.counter("svm.smo.steps").value
+    step_ratio = steps_cold / steps_warm
+    assert step_ratio > MIN_STEP_RATIO
     speedup = cold.update_seconds / warm.update_seconds
-    assert speedup > 1.05
 
     # The Gram cache alone is bit-identical; warm starts are tolerance-
     # equivalent. Decisions may differ only in a vanishing fraction.
@@ -118,7 +127,8 @@ def test_retrain_amortization(benchmark, show):
 
     show(
         f"retrain wall-clock: amortized {warm.update_seconds:.2f}s, "
-        f"cold {cold.update_seconds:.2f}s ({speedup:.1f}x); "
+        f"cold {cold.update_seconds:.2f}s ({speedup:.1f}x); SMO steps "
+        f"cold {steps_cold:.0f} / warm {steps_warm:.0f} ({step_ratio:.2f}x); "
         f"agreement {agreement:.4f}; precision {precision:.3f}, "
         f"recall {recall:.3f}; retrains {warm.classifier.n_retrains}"
     )
@@ -134,6 +144,7 @@ def test_retrain_amortization(benchmark, show):
                 "retrain_seconds_amortized": warm.update_seconds,
                 "retrain_seconds_cold": cold.update_seconds,
                 "speedup": speedup,
+                "smo_step_ratio": step_ratio,
                 "decision_agreement": agreement,
             },
         )

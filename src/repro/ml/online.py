@@ -30,7 +30,8 @@ enabled or not, which is what keeps the cache a pure optimization.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,7 +76,8 @@ class BatchOnlineSVM:
         scaler is refrozen on the amortized refresh schedule, not per
         retrain.
     max_buffer:
-        Optional cap on stored samples; oldest are evicted first.
+        Optional cap on stored samples; oldest are evicted first, in
+        O(1) per eviction.
     warm_start:
         Seed each retrain's SMO with the previous solution's dual
         variables (incremental SVM learning). Only effective when the
@@ -87,8 +89,9 @@ class BatchOnlineSVM:
         effective for :class:`~repro.ml.svm.SVC` models.
     obs:
         Observability handle; a recording handle counts Gram-cache
-        hits/misses/invalidations, gauges reused rows, and histograms
-        the per-retrain amortization fraction. Inert by default.
+        hits/misses/invalidations and SMO pair rounds
+        (``svm.smo.steps``), gauges reused rows, and histograms the
+        per-retrain amortization fraction. Inert by default.
     """
 
     def __init__(
@@ -116,10 +119,14 @@ class BatchOnlineSVM:
         self.obs = obs if obs is not None else NULL_OBS
         self._alpha_by_key: Dict[Tuple[float, ...], float] = {}
 
-        self._keys: List[Tuple[float, ...]] = []
-        self._X: List[np.ndarray] = []
-        self._y: List[float] = []
+        self._keys: Deque[Tuple[float, ...]] = deque()
+        self._X: Deque[np.ndarray] = deque()
+        self._y: Deque[float] = deque()
+        # Key -> arrival number of its (latest) row among all rows ever
+        # buffered; the row's buffer position is that minus the evicted
+        # count, so evicting from the front shifts no index entry.
         self._index: Dict[Tuple[float, ...], int] = {}
+        self._n_evicted = 0
         self._since_retrain = 0
         self._model: Optional[SVC] = None
         self._scaler: Optional[StandardScaler] = None
@@ -167,7 +174,7 @@ class BatchOnlineSVM:
             raise ValueError(f"label must be +1 or -1, got {y!r}")
         key = tuple(x.tolist())
         if self.replace_repeated and key in self._index:
-            pos = self._index[key]
+            pos = self._index[key] - self._n_evicted
             # Labels are exact ±1.0 by the validation above.
             if self._y[pos] != float(y):  # repro: noqa[NUM001]
                 # Relabelled tuple: the remembered dual sits on the wrong
@@ -176,31 +183,32 @@ class BatchOnlineSVM:
                 self._alpha_by_key.pop(key, None)
             self._y[pos] = float(y)
         else:
+            self._index[key] = self._n_evicted + len(self._keys)
             self._keys.append(key)
             self._X.append(x)
             self._y.append(float(y))
-            self._index[key] = len(self._X) - 1
             self._evict_if_needed()
         self._since_retrain += 1
         self._n_observed += 1
 
     def _evict_if_needed(self) -> None:
-        if self.max_buffer is None or len(self._X) <= self.max_buffer:
+        if self.max_buffer is None:
             return
-        evicted: List[Tuple[float, ...]] = []
-        while len(self._X) > self.max_buffer:
-            evicted.append(self._keys.pop(0))
-            self._X.pop(0)
-            self._y.pop(0)
-            self._evictions_pending += 1
-        # Positions shifted; rebuild the key index once per eviction burst.
-        self._index = {k: i for i, k in enumerate(self._keys)}
-        # Drop warm-start duals for keys that left the buffer entirely —
-        # without this the dict grows without bound and can seed stale
-        # alphas if an evicted matrix ever reappears.
-        for key in evicted:
-            if key not in self._index:
+        while len(self._keys) > self.max_buffer:
+            key = self._keys.popleft()
+            self._X.popleft()
+            self._y.popleft()
+            # The index points at a key's latest row, so it names the
+            # evicted one only when no later copy stays buffered (the
+            # append-only mode keeps duplicates). Then the key has left
+            # the buffer: drop its warm-start dual too — without this the
+            # dict grows without bound and can seed stale alphas if an
+            # evicted matrix ever reappears.
+            if self._index[key] == self._n_evicted:
+                del self._index[key]
                 self._alpha_by_key.pop(key, None)
+            self._n_evicted += 1
+            self._evictions_pending += 1
 
     def observe(self, x: ArrayLike, y: float) -> bool:
         """Record a sample and retrain when the batch boundary is hit.
@@ -270,6 +278,7 @@ class BatchOnlineSVM:
             alpha_init = [self._alpha_by_key.get(key, 0.0) for key in self._keys]
         if managed:
             model.fit(X, y, alpha_init=alpha_init, gram=gram)
+            self.obs.counter("svm.smo.steps").inc(model.n_iter_)
         else:
             model.fit(X, y)
         if self.warm_start and managed and not model.is_constant_:

@@ -19,7 +19,7 @@ reconvergence check before accepting the solution).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -70,6 +70,14 @@ class SVC:
         the ``svm.fit`` span (Section 5.3's training-latency metric) and
         gauges the training-set and support-vector sizes. The inert
         default records nothing.
+
+    Fits are pure: the same inputs give the same ``alpha_all_``,
+    ``intercept_`` and ``n_iter_``, bit for bit. The SMO inner loop
+    (:meth:`_rounds`, :meth:`_step`) is tuned for few numpy calls per
+    pair round, but performs the same floating-point operations in the
+    same order as the plain loop that ``tests/ml/test_smo_parity.py``
+    keeps as its oracle, so its duals, bias and round count equal the
+    oracle's exactly.
     """
 
     # Fit products; populated by :meth:`fit` (guarded by ``_fitted``).
@@ -81,6 +89,7 @@ class SVC:
     _alpha_all_: np.ndarray
     _b: float
     _fit_kernel: Kernel
+    _n_iter: int
 
     def __init__(
         self,
@@ -168,6 +177,7 @@ class SVC:
             self._sv_y = np.zeros(0)
             self._alpha_all_ = np.zeros(X.shape[0])
             self._b = 0.0
+            self._n_iter = 0
             self._fitted = True
             return self
 
@@ -283,8 +293,9 @@ class SVC:
         """
         n = alpha.shape[0]
         budget = self.max_iter
+        self._n_iter = 0
         if not (self.shrinking and n > _SHRINK_MIN_ACTIVE):
-            self._rounds(alpha, errors, y, K, budget, eps)
+            self._n_iter, _ = self._rounds(alpha, errors, y, K, budget, eps)
             return errors
 
         period = max(50, min(n, 1000))
@@ -295,6 +306,7 @@ class SVC:
             while budget > 0:
                 used, status = self._rounds(a, e, yy, Kc, min(period, budget), eps)
                 budget -= used
+                self._n_iter += used
                 if status != "budget":
                     break
                 keep = self._shrink_mask(a, e, yy, eps)
@@ -338,59 +350,81 @@ class SVC:
         KKT gap — the same optimum in far fewer, better-chosen steps.
         The stopping rule is unchanged (the *maximal-violating* pair's
         gap below tolerance), so convergence means exactly what it did
-        for the first-order scan. Up/low membership only changes at the
-        two touched indices, so the masks are maintained incrementally
-        instead of being rebuilt each round.
+        for the first-order scan.
+
+        A round costs a handful of numpy calls on length-n vectors plus
+        Python-float scalar work. Up/low membership is kept as additive
+        penalties (0 inside, ±inf outside), so ``errors + up_pen`` is the
+        masked up-set vector in one call; errors are finite, so an
+        infinite extreme means the set is empty. Membership only changes
+        at the two touched indices, so the penalties are updated in
+        place. ``K`` is fixed for the call, so each ``i``'s row of pair
+        curvatures ``eta`` is computed once and reused (a shrinking
+        compaction starts a new call).
 
         Returns the rounds consumed and why the scan stopped:
         ``"converged"`` (KKT gap below tolerance, or nothing movable),
         ``"stuck"`` (no candidate pair makes numerical progress) or
         ``"budget"`` (round cap reached)."""
         n = alpha.shape[0]
+        C = self.C
+        ys = y.tolist()
         pos = y > 0
-        neg = ~pos
-        bound_lo, bound_hi = alpha > eps, alpha < self.C - eps
-        up = (pos & bound_hi) | (neg & bound_lo)
-        low = (pos & bound_lo) | (neg & bound_hi)
-        Kdiag = np.ascontiguousarray(K.diagonal())
+        bound_lo, bound_hi = alpha > eps, alpha < C - eps
+        up_pen = np.where(np.where(pos, bound_hi, bound_lo), 0.0, np.inf)
+        low_pen = np.where(np.where(pos, bound_lo, bound_hi), 0.0, -np.inf)
 
-        def _refresh(t: int) -> None:
-            movable_lo, movable_hi = alpha[t] > eps, alpha[t] < self.C - eps
-            if pos[t]:
-                up[t], low[t] = movable_hi, movable_lo
-            else:
-                up[t], low[t] = movable_lo, movable_hi
+        def _refresh(t: int, a: float) -> None:
+            movable_lo, movable_hi = a > eps, a < C - eps
+            if ys[t] < 0:
+                movable_lo, movable_hi = movable_hi, movable_lo
+            up_pen[t] = 0.0 if movable_hi else np.inf
+            low_pen[t] = 0.0 if movable_lo else -np.inf
+
+        Kdiag = np.ascontiguousarray(K.diagonal())
+        etas: Dict[int, np.ndarray] = {}
 
         for used in range(max_rounds):
-            f_up = np.where(up, errors, np.inf)
-            f_low = np.where(low, errors, -np.inf)
-            i = int(np.argmin(f_up))
-            j = int(np.argmax(f_low))
-            if not up[i] or not low[j]:
+            f_up = errors + up_pen
+            f_low = errors + low_pen
+            i = int(f_up.argmin())
+            j = int(f_low.argmax())
+            Ei = f_up.item(i)
+            Ej = f_low.item(j)
+            if Ei == np.inf or Ej == -np.inf:
                 return used, "converged"  # one side fully at bounds
-            if errors[j] - errors[i] < 2.0 * self.tol:
+            if Ej - Ei < 2.0 * self.tol:
                 return used, "converged"
+            eta_i = etas.get(i)
+            if eta_i is None:
+                eta_i = np.maximum(Kdiag + K[i, i] - 2.0 * K[i], 1e-12)
+                etas[i] = eta_i
             # Second-order choice of j: maximal decrease of the dual
-            # objective among low-set candidates that violate with i.
-            diff = errors - errors[i]
-            eta_vec = np.maximum(Kdiag + K[i, i] - 2.0 * K[i], 1e-12)
-            gain = np.where(low & (diff > 0.0), diff * diff / eta_vec, -np.inf)
-            j2 = int(np.argmax(gain))
-            if gain[j2] > 0.0:
+            # objective among low-set candidates that violate with i
+            # (outside the low set, and for non-violators, the gain is 0).
+            gain = f_low - Ei
+            np.maximum(gain, 0.0, out=gain)
+            gain *= gain
+            gain /= eta_i
+            j2 = int(gain.argmax())
+            if gain.item(j2) > 0.0:
                 j = j2
-            if self._step(i, j, alpha, errors, y, K):
-                _refresh(i)
-                _refresh(j)
+            if self._step(i, j, alpha, errors, ys, K, eta_i):
+                _refresh(i, alpha.item(i))
+                _refresh(j, alpha.item(j))
                 continue
             # Numerically stuck pair (degenerate kernel rows): try the
             # next-most-violating partners before giving up.
             order = np.argsort(-f_low)
             moved = False
-            for k in order[: min(10, n)]:
-                k = int(k)
-                if k != j and low[k] and self._step(i, k, alpha, errors, y, K):
-                    _refresh(i)
-                    _refresh(k)
+            for k in order[: min(10, n)].tolist():
+                if (
+                    k != j
+                    and f_low.item(k) > -np.inf
+                    and self._step(i, k, alpha, errors, ys, K, eta_i)
+                ):
+                    _refresh(i, alpha.item(i))
+                    _refresh(k, alpha.item(k))
                     moved = True
                     break
             if not moved:
@@ -477,24 +511,31 @@ class SVC:
         j: int,
         alpha: np.ndarray,
         errors: np.ndarray,
-        y: np.ndarray,
+        y: List[float],
         K: np.ndarray,
+        eta_i: np.ndarray,
     ) -> bool:
-        """Optimize one multiplier pair; errors are bias-free f_raw - y."""
+        """Optimize one multiplier pair; errors are bias-free f_raw - y.
+
+        ``y`` holds the labels as Python floats and ``eta_i`` is row
+        ``i`` of the pair curvatures ``max(K_ii + K_jj - 2 K_ij, 1e-12)``;
+        the scalar arithmetic runs on Python floats (the same IEEE
+        doubles as numpy scalars, without their dispatch cost)."""
         if i == j:
             return False
-        ai_old, aj_old = alpha[i], alpha[j]
+        C = self.C
+        ai_old, aj_old = alpha.item(i), alpha.item(j)
         yi, yj = y[i], y[j]
-        Ei, Ej = errors[i], errors[j]
+        Ei, Ej = errors.item(i), errors.item(j)
         if yi != yj:
             lo = max(0.0, aj_old - ai_old)
-            hi = min(self.C, self.C + aj_old - ai_old)
+            hi = min(C, C + aj_old - ai_old)
         else:
-            lo = max(0.0, ai_old + aj_old - self.C)
-            hi = min(self.C, ai_old + aj_old)
+            lo = max(0.0, ai_old + aj_old - C)
+            hi = min(C, ai_old + aj_old)
         if lo >= hi:
             return False
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = eta_i.item(j)
         if eta <= 1e-12:
             return False
         aj_new = aj_old + yj * (Ei - Ej) / eta
@@ -574,6 +615,14 @@ class SVC:
         if not self._fitted:
             raise NotFittedError("SVC must be fitted before inspection")
         return self._alpha_all_
+
+    @property
+    def n_iter_(self) -> int:
+        """Pair rounds SMO used in the last fit (0 for a constant
+        model): the solver's deterministic work count."""
+        if not self._fitted:
+            raise NotFittedError("SVC must be fitted before inspection")
+        return self._n_iter
 
     @property
     def is_constant_(self) -> bool:

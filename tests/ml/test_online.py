@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.online import BatchOnlineSVM
+from repro.obs import NULL_OBS, Obs
 
 
 def _feed_linear(learner, n, seed=0, flip=None):
@@ -138,6 +139,98 @@ class TestWarmStartMemory:
         learner = BatchOnlineSVM(batch_size=10, warm_start=False, max_buffer=40)
         self._feed(learner, 120, seed=22)
         assert learner._alpha_by_key == {}
+
+
+class _ListUpkeepSVM(BatchOnlineSVM):
+    """Reference buffer upkeep: lists, ``pop(0)`` and a key index
+    rebuilt from scratch after every eviction burst."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._keys, self._X, self._y = [], [], []
+
+    def add_sample(self, x, y):
+        x = np.asarray(x, dtype=float).ravel()
+        key = tuple(x.tolist())
+        if self.replace_repeated and key in self._index:
+            pos = self._index[key]
+            if self._y[pos] != float(y):  # repro: noqa[NUM001]
+                self._alpha_by_key.pop(key, None)
+            self._y[pos] = float(y)
+        else:
+            self._keys.append(key)
+            self._X.append(x)
+            self._y.append(float(y))
+            self._index[key] = len(self._X) - 1
+            self._evict_if_needed()
+        self._since_retrain += 1
+        self._n_observed += 1
+
+    def _evict_if_needed(self):
+        if self.max_buffer is None or len(self._X) <= self.max_buffer:
+            return
+        evicted = []
+        while len(self._X) > self.max_buffer:
+            evicted.append(self._keys.pop(0))
+            self._X.pop(0)
+            self._y.pop(0)
+            self._evictions_pending += 1
+        self._index = {k: i for i, k in enumerate(self._keys)}
+        for key in evicted:
+            if key not in self._index:
+                self._alpha_by_key.pop(key, None)
+
+
+class TestEvictionUpkeep:
+    @pytest.mark.parametrize("replace_repeated", [True, False])
+    def test_matches_list_upkeep(self, replace_repeated):
+        # A stream over a small grid repeats (and relabels) keys, so the
+        # replacement rule, duplicate keys and evictions all interleave.
+        kwargs = dict(
+            batch_size=7, max_buffer=30, warm_start=True,
+            replace_repeated=replace_repeated,
+        )
+        learner, reference = BatchOnlineSVM(**kwargs), _ListUpkeepSVM(**kwargs)
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            x = rng.integers(-4, 5, size=2).astype(float)
+            y = 1.0 if x.sum() + rng.normal() > 0 else -1.0
+            assert learner.observe(x, y) == reference.observe(x, y)
+            positions = {
+                key: seq - learner._n_evicted for key, seq in learner._index.items()
+            }
+            assert positions == reference._index
+            assert learner._alpha_by_key == reference._alpha_by_key
+            X, labels = learner.training_set()
+            X_ref, labels_ref = reference.training_set()
+            assert np.array_equal(X, X_ref) and np.array_equal(labels, labels_ref)
+            if learner.is_trained:
+                assert np.array_equal(
+                    learner._model.alpha_all_, reference._model.alpha_all_
+                )
+        assert learner._n_evicted > 100
+
+
+class TestSmoStepCounter:
+    def test_counts_every_retrain(self):
+        obs = Obs.recording()
+        learner = BatchOnlineSVM(batch_size=10, warm_start=True, obs=obs)
+        steps = 0
+        rng = np.random.default_rng(32)
+        for _ in range(60):
+            x = rng.uniform(-2, 2, size=2)
+            if learner.observe(x, 1.0 if x.sum() > 0 else -1.0):
+                steps += learner._model.n_iter_
+        assert steps > 0
+        assert obs.registry.counter("svm.smo.steps").value == steps
+
+    def test_inert_under_null_obs(self):
+        plain = BatchOnlineSVM(batch_size=10)
+        recorded = BatchOnlineSVM(batch_size=10, obs=Obs.recording())
+        _feed_linear(plain, 30, seed=33)
+        _feed_linear(recorded, 30, seed=33)
+        assert plain.obs is NULL_OBS and len(NULL_OBS.registry) == 0
+        assert np.array_equal(plain._model.alpha_all_, recorded._model.alpha_all_)
 
 
 class TestAmortizedKernelRefresh:
