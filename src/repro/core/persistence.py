@@ -25,7 +25,7 @@ from repro.wireless.channel import SnrBinner
 
 __all__ = ["dump_exbox", "dumps_exbox", "load_exbox", "loads_exbox"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def _estimator_state(estimator: QoEEstimator) -> dict:
@@ -52,6 +52,9 @@ def _classifier_state(classifier: AdmittanceClassifier) -> dict:
         "cv_folds": classifier.cv_folds,
         "min_bootstrap_samples": classifier.min_bootstrap_samples,
         "max_bootstrap_samples": classifier.max_bootstrap_samples,
+        "cv_check_every": classifier.cv_check_every,
+        "guard_margin": classifier.guard_margin,
+        "warm_start": classifier._learner.warm_start,
         "replace_repeated": classifier._learner.replace_repeated,
         "max_buffer": classifier._learner.max_buffer,
         "random_state": classifier.random_state,
@@ -123,6 +126,9 @@ def loads_exbox(text: str) -> ExBox:
         cv_folds=clf_state["cv_folds"],
         min_bootstrap_samples=clf_state["min_bootstrap_samples"],
         max_bootstrap_samples=clf_state["max_bootstrap_samples"],
+        cv_check_every=clf_state["cv_check_every"],
+        guard_margin=clf_state["guard_margin"],
+        warm_start=clf_state["warm_start"],
         replace_repeated=clf_state["replace_repeated"],
         max_buffer=clf_state["max_buffer"],
         random_state=clf_state["random_state"],

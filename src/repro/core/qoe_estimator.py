@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.qoe.iqx import IQXModel, fit_iqx
 from repro.qoe.thresholds import QoEThreshold, threshold_for_class
-from repro.apps.base import app_model_for_class
 from repro.testbed.controller import MatrixRun
 from repro.testbed.devices import TrainingDevice
 from repro.traffic.flows import APP_CLASSES
@@ -68,11 +67,7 @@ class QoEEstimator:
             raise ValueError(f"no threshold configured for {app_class!r}")
         qos_values = [s[0] for s in samples]
         qoe_values = [s[1] for s in samples]
-        model = fit_iqx(
-            qos_values,
-            qoe_values,
-            higher_is_better=app_model_for_class(app_class).higher_is_better,
-        )
+        model = fit_iqx(qos_values, qoe_values)
         self._models[app_class] = model
         return model
 

@@ -2,19 +2,50 @@
 
 Single-seed numbers invite over-reading; this module reruns an
 experiment across seeds and summarizes each metric with mean, standard
-deviation and a normal-approximation confidence interval — the form the
+deviation and a Student-t confidence interval — the form the
 seed-robustness benchmark asserts on and EXPERIMENTS.md quotes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["MetricSummary", "summarize_seeds", "separated"]
+
+
+def _t_coverage(theta: float, df: int) -> float:
+    """``P(|T| <= sqrt(df) * tan(theta))`` for Student's t with integer
+    ``df``, in the closed form of Abramowitz & Stegun 26.7.3 (odd df)
+    and 26.7.4 (even df)."""
+    cos2 = math.cos(theta) ** 2
+    odd = df % 2
+    term = math.cos(theta) if odd else 1.0
+    series = 0.0
+    for k in range(1 + odd, df, 2):
+        series += term
+        term *= cos2 * k / (k + 1)
+    if odd:
+        return 2.0 / math.pi * (theta + math.sin(theta) * series)
+    return math.sin(theta) * series
+
+
+def _t_quantile(confidence: float, df: int) -> float:
+    """Two-sided Student-t critical value: the ``t`` with
+    ``P(|T| <= t) = confidence``, by bisection on ``theta = atan(t /
+    sqrt(df))`` down to adjacent floats."""
+    lo, hi = 0.0, math.pi / 2.0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _t_coverage(mid, df) < confidence:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.sqrt(df) * math.tan(mid)
 
 
 @dataclass(frozen=True)
@@ -42,7 +73,7 @@ class MetricSummary:
         """t-distribution confidence half-width (0 for a single seed)."""
         if self.n < 2:
             return 0.0
-        t = scipy_stats.t.ppf(0.5 + self.confidence / 2.0, df=self.n - 1)
+        t = _t_quantile(self.confidence, self.n - 1)
         return float(t * self.std / np.sqrt(self.n))
 
     @property

@@ -6,21 +6,31 @@ dominant QoS metric and the resulting QoE. ExBox fits one IQX model per
 application class from a training device's measurements and then uses it
 to estimate QoE from passive network-side QoS (Section 3.2).
 
-Fitting follows the paper: non-linear least squares over (QoS, QoE)
-pairs, with QoS normalized to [0, 1] first so that gamma is comparable
-across applications.
+Fitting follows the paper: least squares over (QoS, QoE) pairs, with
+QoS normalized to [0, 1] first so that gamma is comparable across
+applications. The curve is linear in alpha and beta, so the fit is a
+1-D search over gamma (variable projection): for each gamma, alpha and
+beta have a closed form, and the residual sum of squares (RSS) of that
+best pair is evaluated over a log grid on gamma, then over finer and
+finer linear grids on the bracket around the best gamma.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
-__all__ = ["IQXModel", "fit_iqx", "normalize_qos"]
+__all__ = ["IQXModel", "fit_iqx", "normalize_qos", "GAMMA_MIN", "GAMMA_MAX"]
+
+# The gamma search range, and how finely gamma is located inside it.
+GAMMA_MIN = 1e-4
+GAMMA_MAX = 200.0
+_GAMMA_RTOL = 1e-10
+_LOG_GRID = 128  # first pass: log-spaced points on [GAMMA_MIN, GAMMA_MAX]
+_ZOOM_GRID = 17  # each refinement: 16 intervals over a 2-interval bracket
 
 
 def _iqx(qos: np.ndarray, alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -29,8 +39,8 @@ def _iqx(qos: np.ndarray, alpha: float, beta: float, gamma: float) -> np.ndarray
 
 def normalize_qos(
     qos_values: Sequence[float],
-    lo: float = None,
-    hi: float = None,
+    lo: Optional[float] = None,
+    hi: Optional[float] = None,
     log_scale: bool = True,
 ) -> Tuple[np.ndarray, float, float]:
     """Scale QoS samples into [0, 1]; returns (scaled, lo, hi).
@@ -93,17 +103,35 @@ class IQXModel:
         return self.beta * self.gamma > 0
 
 
+def _profile(
+    x: np.ndarray, qoe_c: np.ndarray, gammas: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """RSS and beta of the best (alpha, beta) at each gamma.
+
+    Uses mean-centered ``expm1`` so that small gammas, where
+    ``exp(-gamma * x)`` is within rounding of 1, keep their precision.
+    """
+    e = np.expm1(-gammas[:, None] * x[None, :])
+    e -= e.mean(axis=1, keepdims=True)
+    beta = (e @ qoe_c) / np.einsum("ij,ij->i", e, e)
+    resid = qoe_c[None, :] - beta[:, None] * e
+    return np.einsum("ij,ij->i", resid, resid), beta
+
+
 def fit_iqx(
     qos_values: Sequence[float],
     qoe_values: Sequence[float],
-    higher_is_better: bool = False,
     log_scale: bool = True,
 ) -> IQXModel:
     """Least-squares IQX fit over raw (QoS, QoE) samples.
 
-    ``higher_is_better`` sets the initial-guess orientation: metrics like
-    PSNR grow toward a ceiling as QoS improves (beta < 0), while delays
-    shrink toward a floor (beta > 0).
+    Gamma is searched over [``GAMMA_MIN``, ``GAMMA_MAX``] as the module
+    docstring describes, until the bracket between the best gamma's grid
+    neighbours is narrower than 1e-10 relative. Where the RSS has one
+    minimum in gamma at grid resolution, the returned RSS is within a
+    factor 1 + 1e-9 of the best over the whole range. Rising curves
+    (beta < 0, e.g. PSNR) and falling ones (beta > 0, e.g. delays) need
+    no orientation hint.
     """
     qoe = np.asarray(qoe_values, dtype=float)
     if len(qos_values) != qoe.size:
@@ -112,28 +140,19 @@ def fit_iqx(
         raise ValueError("need at least 3 samples to fit 3 parameters")
     x, lo, hi = normalize_qos(qos_values, log_scale=log_scale)
 
-    span = float(qoe.max() - qoe.min())
-    if higher_is_better:
-        p0 = (float(qoe.max()), -max(span, 1e-6), 3.0)
-    else:
-        p0 = (float(qoe.min()), max(span, 1e-6), 3.0)
-    try:
-        params, _ = curve_fit(
-            _iqx, x, qoe, p0=p0, maxfev=20000,
-            bounds=([-np.inf, -np.inf, 0.0], [np.inf, np.inf, 200.0]),
-        )
-    except RuntimeError:
-        # Fall back to the initial guess refined by a coarse gamma grid.
-        best, best_err = p0, float("inf")
-        for gamma in np.linspace(0.1, 50.0, 120):
-            e = np.exp(-gamma * x)
-            A = np.column_stack([np.ones_like(e), e])
-            coef, *_ = np.linalg.lstsq(A, qoe, rcond=None)
-            err = float(np.sum((A @ coef - qoe) ** 2))
-            if err < best_err:
-                best, best_err = (float(coef[0]), float(coef[1]), float(gamma)), err
-        params = best
-    alpha, beta, gamma = (float(v) for v in params)
+    qoe_c = qoe - qoe.mean()
+    gammas = np.geomspace(GAMMA_MIN, GAMMA_MAX, _LOG_GRID)
+    best_rss, gamma, beta = float("inf"), GAMMA_MAX, 0.0
+    while True:
+        rss, betas = _profile(x, qoe_c, gammas)
+        k = int(rss.argmin())
+        if rss[k] < best_rss:
+            best_rss, gamma, beta = float(rss[k]), float(gammas[k]), float(betas[k])
+        left, right = gammas[max(k - 1, 0)], gammas[min(k + 1, gammas.size - 1)]
+        if right - left <= _GAMMA_RTOL * right:
+            break
+        gammas = np.linspace(left, right, _ZOOM_GRID)
+    alpha = float(qoe.mean() - beta * np.exp(-gamma * x).mean())
     resid = _iqx(x, alpha, beta, gamma) - qoe
     rmse = float(np.sqrt(np.mean(resid**2)))
     return IQXModel(

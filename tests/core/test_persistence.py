@@ -10,12 +10,11 @@ from repro.traffic.flows import APP_CLASSES, FlowRequest, WEB
 from repro.testbed.wifi_testbed import WiFiTestbed
 
 
-@pytest.fixture(scope="module")
-def trained_box(estimator):
-    rng = np.random.default_rng(61)
+def _train_online(estimator, seed, **kwargs):
+    rng = np.random.default_rng(seed)
     testbed = WiFiTestbed()
     box = ExBox.with_defaults(
-        batch_size=15, min_bootstrap_samples=30, max_bootstrap_samples=60
+        batch_size=15, min_bootstrap_samples=30, max_bootstrap_samples=60, **kwargs
     )
     box.qoe_estimator = estimator
     client = 0
@@ -30,12 +29,17 @@ def trained_box(estimator):
     return box
 
 
+@pytest.fixture(scope="module")
+def trained_box(estimator):
+    return _train_online(estimator, 61)
+
+
 class TestRoundtrip:
     def test_snapshot_is_json(self, trained_box):
         import json
 
         state = json.loads(dumps_exbox(trained_box))
-        assert state["format_version"] == 1
+        assert state["format_version"] == 2
         assert set(state["qoe_models"]) == set(APP_CLASSES)
 
     def test_restored_box_is_online(self, trained_box):
@@ -62,6 +66,35 @@ class TestRoundtrip:
             if trained_box.admittance.classify(x) == restored.admittance.classify(x):
                 agree += 1
         assert agree == trials
+
+    def test_restored_classifier_settings(self, estimator):
+        # Non-default guard/warm-start/CV settings survive the round trip,
+        # and original and restored boxes decide a seeded stream alike.
+        box = _train_online(
+            estimator, 63, guard_margin=0.5, warm_start=False, cv_check_every=5
+        )
+        restored = loads_exbox(dumps_exbox(box))
+        original, loaded = box.admittance, restored.admittance
+        assert (
+            (loaded.guard_margin, loaded._learner.warm_start, loaded.cv_check_every)
+            == (original.guard_margin, original._learner.warm_start, original.cv_check_every)
+            == (0.5, False, 5)
+        )
+        testbed = WiFiTestbed()
+        decisions = {"original": [], "restored": []}
+        for name, b in (("original", box), ("restored", restored)):
+            stream, outcomes = np.random.default_rng(64), np.random.default_rng(65)
+            while b.active_flows:
+                b.handle_departure(b.active_flows[0])
+            for client in range(1, 81):
+                cls = APP_CLASSES[int(stream.integers(3))]
+                decision = b.handle_arrival(FlowRequest(client_id=client, app_class=cls))
+                decisions[name].append(decision.admitted)
+                specs = [(f.app_class, f.snr_db) for f in b.active_flows]
+                b.report_outcome(decision, testbed.run_flows(specs[:10], rng=outcomes))
+                if len(b.active_flows) > 6:
+                    b.handle_departure(b.active_flows[int(stream.integers(len(b.active_flows)))])
+        assert decisions["original"] == decisions["restored"]
 
     def test_restored_qoe_models_identical(self, trained_box):
         restored = loads_exbox(dumps_exbox(trained_box))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.stats import MetricSummary, separated, summarize_seeds
+from repro.experiments.stats import MetricSummary, _t_quantile, separated, summarize_seeds
 
 
 class TestMetricSummary:
@@ -32,6 +32,20 @@ class TestMetricSummary:
     def test_str_mentions_numbers(self):
         text = str(MetricSummary("precision", (0.8, 0.9)))
         assert "precision" in text and "0.850" in text
+
+
+class TestTQuantile:
+    @pytest.mark.parametrize(
+        "df,expected",
+        [(1, 12.7062047), (4, 2.7764451), (10, 2.2281389), (30, 2.0422725)],
+    )
+    def test_textbook_95_percent(self, df, expected):
+        assert _t_quantile(0.95, df) == pytest.approx(expected, abs=1e-7)
+
+    def test_ci_uses_t_quantile(self):
+        summary = MetricSummary("m", (1.0, 2.0, 3.0, 4.0, 5.0))
+        expected = 2.7764451 * summary.std / np.sqrt(5)
+        assert summary.ci_halfwidth == pytest.approx(expected, rel=1e-7)
 
 
 class TestSummarizeSeeds:
