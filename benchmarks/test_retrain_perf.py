@@ -1,20 +1,20 @@
-"""Retrain hot-path benchmark: amortized vs cold (docs/performance.md).
+"""Retrain hot-path benchmark: warm-started vs cold (docs/performance.md).
 
 The paper's Section 5.3 numbers make SVM training the dominant online
 cost (~360 ms at 50 samples, >2 s at 1000 with the authors' stack). The
-amortization work — incremental Gram cache, warm-started SMO, frozen
-kernel epochs — attacks exactly that term. This benchmark replays a
-seeded ~1000-arrival closed-loop workload twice, once with the amortized
-path and once fully cold, and compares the SMO work (``svm.smo.steps``,
+warm start — each SMO solve seeded with the previous retrain's duals —
+attacks exactly that term. This benchmark replays a seeded
+~1000-arrival closed-loop workload twice, once warm-started and once
+fully cold, and compares the SMO work (``svm.smo.steps``,
 deterministic) and the cumulative online-phase retrain wall-clock.
 
 With ``REPRO_OBS_EXPORT=<path>`` in the environment (CI sets
-``BENCH_perf.json``), the amortized run is instrumented and the snapshot
-— ``admittance.retrain`` span latencies, ``retrain.amortization`` reuse
-fractions, ``gram.cache.*`` and ``svm.smo.steps`` counters, plus
-precision/recall gauges
-computed against the closed loop's measured ground truth — is written
-for artifact upload and gated against
+``BENCH_perf.json``), the warm run is instrumented and the snapshot —
+``admittance.retrain`` span latencies, ``svm.smo.steps`` counters, the
+cold/warm ``retrain_perf.step_ratio``, the wall-clock
+``retrain_perf.speedup`` (a trend, not gated) and precision/recall
+gauges computed against the closed loop's measured ground truth — is
+written for artifact upload and gated against
 ``benchmarks/baselines/BENCH_baseline_perf.json`` by
 ``python -m repro obs check``.
 """
@@ -34,8 +34,8 @@ from repro.testbed.wifi_testbed import WiFiTestbed
 DURATION_MIN = 250
 ARRIVALS_PER_MIN = 4.0
 SEED = 17
-#: Floor on cold/warm SMO pair rounds. Seed 17 measures 17,171 / 12,316
-#: ~= 1.39; the floor leaves room for label or schedule changes while a
+#: Floor on cold/warm SMO pair rounds. Seed 17 measures 15,846 / 12,367
+#: ~= 1.28; the floor leaves room for label or schedule changes while a
 #: warm start that seeds nothing (ratio 1.0) still fails.
 MIN_STEP_RATIO = 1.25
 
@@ -62,10 +62,8 @@ class _TraceScheme(ExBoxScheme):
         self.update_seconds += time.perf_counter() - start
 
 
-def _run(amortized, obs):
-    scheme = _TraceScheme(
-        batch_size=20, warm_start=amortized, use_gram_cache=amortized
-    )
+def _run(warm, obs):
+    scheme = _TraceScheme(batch_size=20, warm_start=warm)
     # Instrument the classifier directly (not the loop): the per-arrival
     # closed-loop recording re-queries margins, which would distort the
     # timing we are comparing.
@@ -86,8 +84,8 @@ def test_retrain_amortization(benchmark, show):
     obs_cold = Obs.recording()
 
     def _both():
-        warm = _run(amortized=True, obs=obs_warm)
-        cold = _run(amortized=False, obs=obs_cold)
+        warm = _run(warm=True, obs=obs_warm)
+        cold = _run(warm=False, obs=obs_cold)
         return warm, cold
 
     warm, cold = benchmark.pedantic(_both, rounds=1, iterations=1)
@@ -97,8 +95,9 @@ def test_retrain_amortization(benchmark, show):
     assert len(cold.decisions) == n
 
     # The warm start must pay, checked on deterministic work: SMO pair
-    # rounds, identical on every machine and run. Wall-clock is only
-    # reported (and exported as the ``retrain_perf.speedup`` gauge); the
+    # rounds, identical on every machine and run (exported as the gated
+    # ``retrain_perf.step_ratio`` gauge). Wall-clock is only reported
+    # (and exported as the ungated ``retrain_perf.speedup`` trend); the
     # warm-vs-cold delta *within* the current code understates the win
     # (the cold path shares the second-order solver), and retrain-latency
     # regressions are gated by `python -m repro obs check`.
@@ -108,25 +107,21 @@ def test_retrain_amortization(benchmark, show):
     assert step_ratio > MIN_STEP_RATIO
     speedup = cold.update_seconds / warm.update_seconds
 
-    # The Gram cache alone is bit-identical; warm starts are tolerance-
-    # equivalent. Decisions may differ only in a vanishing fraction.
+    # Warm starts are tolerance-equivalent to cold ones: decisions may
+    # differ only in a vanishing fraction.
     agreement = float(np.mean(np.array(warm.decisions) == np.array(cold.decisions)))
     assert agreement >= 0.99
 
     reg = obs_warm.registry
-    assert reg.counter("gram.cache.hits").value > 0
-    amort = reg.histogram("retrain.amortization")
-    assert amort.count == warm.classifier.n_retrains
-    assert amort.sum / amort.count > 0.5  # most of the matrix is reused
-
     precision = precision_score(warm.truths, warm.decisions)
     recall = recall_score(warm.truths, warm.decisions)
     reg.gauge("retrain_perf.precision").set(precision)
     reg.gauge("retrain_perf.recall").set(recall)
+    reg.gauge("retrain_perf.step_ratio").set(step_ratio)
     reg.gauge("retrain_perf.speedup").set(speedup)
 
     show(
-        f"retrain wall-clock: amortized {warm.update_seconds:.2f}s, "
+        f"retrain wall-clock: warm {warm.update_seconds:.2f}s, "
         f"cold {cold.update_seconds:.2f}s ({speedup:.1f}x); SMO steps "
         f"cold {steps_cold:.0f} / warm {steps_warm:.0f} ({step_ratio:.2f}x); "
         f"agreement {agreement:.4f}; precision {precision:.3f}, "
@@ -141,7 +136,7 @@ def test_retrain_amortization(benchmark, show):
                 "suite": "retrain_perf",
                 "source": "benchmarks/test_retrain_perf.py",
                 "n_arrivals": n,
-                "retrain_seconds_amortized": warm.update_seconds,
+                "retrain_seconds_warm": warm.update_seconds,
                 "retrain_seconds_cold": cold.update_seconds,
                 "speedup": speedup,
                 "smo_step_ratio": step_ratio,

@@ -91,9 +91,6 @@ class AdmittanceClassifier:
         default: across the seeded workloads warm and cold starts agree
         on every admission decision, with margins differing only within
         the solver's ``tol``-equivalence bound.
-    use_gram_cache:
-        Carry the training Gram matrix across retrains (bit-exact, so
-        decisions are identical either way; purely a speed flag).
     cv_jobs:
         Fold parallelism for the bootstrap cross-validation (``None`` =
         auto, ``1`` = serial; see
@@ -119,7 +116,6 @@ class AdmittanceClassifier:
         max_buffer: Optional[int] = None,
         guard_margin: float = 0.0,
         warm_start: bool = True,
-        use_gram_cache: bool = True,
         cv_jobs: Optional[int] = None,
         obs: Optional[Obs] = None,
     ) -> None:
@@ -142,7 +138,6 @@ class AdmittanceClassifier:
             replace_repeated=replace_repeated,
             max_buffer=max_buffer,
             warm_start=warm_start,
-            use_gram_cache=use_gram_cache,
             obs=self.obs,
         )
         self.guard_margin = float(guard_margin)

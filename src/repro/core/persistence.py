@@ -25,7 +25,7 @@ from repro.wireless.channel import SnrBinner
 
 __all__ = ["dump_exbox", "dumps_exbox", "load_exbox", "loads_exbox"]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def _estimator_state(estimator: QoEEstimator) -> dict:
@@ -63,10 +63,6 @@ def _classifier_state(classifier: AdmittanceClassifier) -> dict:
         "last_cv_accuracy": classifier.last_cv_accuracy,
         "X": X.tolist(),
         "y": y.tolist(),
-        # Effective-kernel epoch (frozen scaler + resolved bandwidth):
-        # restoring it keeps post-reload decisions identical even when
-        # the snapshot was taken mid-epoch (None before first retrain).
-        "kernel_state": classifier._learner.kernel_state(),
     }
 
 
@@ -96,9 +92,16 @@ def loads_exbox(text: str) -> ExBox:
     """Reconstruct an ExBox from a JSON snapshot string.
 
     The Admittance Classifier is retrained from its persisted buffer, so
-    a snapshot taken online comes back online and decision-ready. Active
+    a snapshot taken online comes back online and decision-ready. Every
+    retrain refits the scaler and the RBF bandwidth on the whole buffer,
+    so the restored classifier equals a fresh, cold-started retrain on
+    the persisted buffer (warm-start duals are not persisted). Active
     flows are deliberately NOT persisted: after a restart the middlebox
     re-learns the live traffic matrix from the network.
+
+    Snapshots of an earlier format version are refused: a version-2
+    snapshot carried a frozen scaler and bandwidth that a retrain no
+    longer honours.
     """
     state = json.loads(text)
     version = state.get("format_version")
@@ -135,9 +138,6 @@ def loads_exbox(text: str) -> ExBox:
     )
     for x, y in zip(clf_state["X"], clf_state["y"]):
         classifier._learner.add_sample(x, int(y))
-    kernel_state = clf_state.get("kernel_state")
-    if kernel_state is not None:
-        classifier._learner.restore_kernel_state(kernel_state)
     classifier._since_cv_check = 0
     classifier.last_cv_accuracy = clf_state["last_cv_accuracy"]
     if clf_state["phase"] == Phase.ONLINE.value:

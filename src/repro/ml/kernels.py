@@ -15,8 +15,10 @@ so a Gram matrix assembled from sub-blocks would differ in the last ulp
 from a single full call. With per-dimension accumulation,
 ``k(X, Z)[i, j]`` is a pure function of ``(X[i], Z[j])`` — bit-identical
 whether computed alone, inside a block, or as part of the full matrix.
-:class:`repro.ml.gram.GramCache` relies on this to append rows and slice
-evictions without ever diverging from a from-scratch computation.
+That is what makes a single arrival's margin (one row against the
+support vectors) bit-identical to its row of a batched
+``classify_batch`` call: the evaluation harness decides in batches on
+that guarantee, and ``perfbench`` checks it per decided arrival.
 """
 
 from __future__ import annotations
@@ -181,8 +183,8 @@ def freeze_kernel(kernel: Kernel, X: np.ndarray) -> Kernel:
     For an :class:`RBFKernel` with ``gamma="scale"`` this returns a copy
     with the concrete bandwidth ``1 / (d * var(X))``; every other kernel
     is already data-independent and is returned as-is. Fitting code calls
-    this once per fit so training, caching, and inference all share one
-    effective kernel (the `gamma="scale"` train/inference mismatch fix).
+    this once per fit so training and inference share one effective
+    kernel (the `gamma="scale"` train/inference mismatch fix).
     """
     if isinstance(kernel, RBFKernel) and isinstance(kernel.gamma, str):
         return kernel.frozen(X)

@@ -131,7 +131,6 @@ class SVC:
         X: ArrayLike,
         y: ArrayLike,
         alpha_init: Optional[ArrayLike] = None,
-        gram: Optional[ArrayLike] = None,
     ) -> "SVC":
         """Fit the classifier on ``X`` (n, d) and labels ``y`` in {-1, +1}.
 
@@ -145,12 +144,6 @@ class SVC:
         literature the paper cites). Out-of-bound values are clipped and
         the equality constraint ``sum alpha_i y_i = 0`` is repaired, so
         any stale vector is a legal starting point.
-
-        ``gram`` supplies a precomputed training Gram matrix — the
-        caller guarantees it equals ``kernel(X, X)`` for this fit's
-        effective (gamma-frozen) kernel. :class:`repro.ml.gram.GramCache`
-        maintains such a matrix incrementally across batch retrains so
-        the O(n²·d) kernel computation is not redone from scratch.
 
         Data-dependent kernel parameters (``gamma="scale"``) are
         resolved against the *training* rows exactly once, here, and
@@ -183,7 +176,7 @@ class SVC:
 
         self._constant = None
         alpha0 = self._sanitize_alpha_init(alpha_init, y)
-        K = self._gram_for_fit(X, gram)
+        K = np.asarray(self._fit_kernel(X, X), dtype=float)
         with self.obs.span("svm.fit"):
             self._smo(X, y, K, alpha0)
         self._fitted = True
@@ -191,22 +184,6 @@ class SVC:
         self.obs.gauge("svm.train_samples").set(X.shape[0])
         self.obs.gauge("svm.support_vectors").set(self._sv_X.shape[0])
         return self
-
-    def _gram_for_fit(
-        self, X: np.ndarray, gram: Optional[ArrayLike]
-    ) -> np.ndarray:
-        """The training Gram matrix: the caller's precomputed one when
-        supplied (validated for shape only), else a fresh computation
-        with this fit's frozen kernel."""
-        if gram is None:
-            return np.asarray(self._fit_kernel(X, X), dtype=float)
-        K = np.asarray(gram, dtype=float)
-        n = X.shape[0]
-        if K.shape != (n, n):
-            raise ValueError(
-                f"precomputed gram must have shape ({n}, {n}), got {K.shape}"
-            )
-        return K
 
     def _sanitize_alpha_init(
         self, alpha_init: Optional[ArrayLike], y: np.ndarray
@@ -242,9 +219,8 @@ class SVC:
         optimality is reached when the maximal-violating pair's gap
         closes below the tolerance.
 
-        ``K`` is the full training Gram matrix (possibly supplied by a
-        cache); :meth:`_solve` adds the shrinking heuristic on top of
-        the pairwise scan.
+        ``K`` is the full training Gram matrix; :meth:`_solve` adds the
+        shrinking heuristic on top of the pairwise scan.
         """
         n = X.shape[0]
         if alpha0 is None:

@@ -39,7 +39,7 @@ class TestRoundtrip:
         import json
 
         state = json.loads(dumps_exbox(trained_box))
-        assert state["format_version"] == 2
+        assert state["format_version"] == 3
         assert set(state["qoe_models"]) == set(APP_CLASSES)
 
     def test_restored_box_is_online(self, trained_box):
@@ -125,6 +125,17 @@ class TestRoundtrip:
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):
             loads_exbox('{"format_version": 99}')
+
+    def test_v2_snapshot_refused(self, trained_box):
+        # A v2 snapshot carried the scaler and bandwidth frozen at the
+        # last refresh; every retrain now refits both, so restoring one
+        # would silently change the model. It is refused instead.
+        import json
+
+        state = json.loads(dumps_exbox(trained_box))
+        state["format_version"] = 2
+        with pytest.raises(ValueError, match="version 2"):
+            loads_exbox(json.dumps(state))
 
     def test_two_level_binner_roundtrip(self, estimator):
         box = ExBox.with_defaults(batch_size=10, n_snr_levels=2)

@@ -7,8 +7,7 @@ Two properties guard the perf work at system level:
    must not flip a single admission decision, and margins must agree
    within ``TOL_EQUIV``. (Bit-identity is *not* required here: warm
    starts legitimately land on a different point of the same optimum's
-   tolerance ball. Bit-identity for the Gram cache alone is asserted in
-   ``tests/ml/test_gram.py``.)
+   tolerance ball.)
 2. **Chunked-harness equivalence** — ``evaluate_scheme``'s
    horizon-bounded ``decide_batch`` chunking must reproduce the decision
    sequence of the plain decide/observe-per-sample loop.

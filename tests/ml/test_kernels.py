@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.ml.kernels import LinearKernel, PolynomialKernel, RBFKernel, resolve_kernel
+from repro.ml.kernels import (
+    LinearKernel,
+    PolynomialKernel,
+    RBFKernel,
+    pairwise_dot,
+    pairwise_sq_dists,
+    resolve_kernel,
+)
 
 
 class TestLinearKernel:
@@ -101,3 +108,46 @@ class TestResolveKernel:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             resolve_kernel("sigmoid")
+
+
+KERNELS = [
+    LinearKernel(),
+    RBFKernel(gamma=0.35),
+    PolynomialKernel(degree=3, coef0=1.0),
+]
+
+
+def _rows(rng, n, d=5):
+    return rng.normal(size=(n, d))
+
+
+class TestEntryExactness:
+    """Every Gram entry is a pure function of its row pair, independent
+    of matrix shape: what makes a single decision bit-identical to its
+    row of a batched ``classify_batch`` call."""
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_block_assembly_matches_full_call(self, kernel):
+        rng = np.random.default_rng(0)
+        X = _rows(rng, 97)
+        full = kernel(X, X)
+        # Single-row slices, sub-blocks, and transposed borders must all
+        # reproduce the same entries bit-for-bit.
+        assert np.array_equal(kernel(X[40:], X), full[40:, :])
+        assert np.array_equal(kernel(X[:40], X[:40]), full[:40, :40])
+        assert np.array_equal(kernel(X[13:14], X), full[13:14, :])
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_symmetry_is_exact(self, kernel):
+        rng = np.random.default_rng(1)
+        X, Z = _rows(rng, 31), _rows(rng, 17)
+        assert np.array_equal(kernel(X, Z), kernel(Z, X).T)
+
+    def test_pairwise_helpers_shape_independent(self):
+        rng = np.random.default_rng(2)
+        X, Z = _rows(rng, 53), _rows(rng, 29)
+        assert np.array_equal(pairwise_dot(X, Z)[7:9], pairwise_dot(X[7:9], Z))
+        assert np.array_equal(
+            pairwise_sq_dists(X, Z)[11:12], pairwise_sq_dists(X[11:12], Z)
+        )
+        assert (pairwise_sq_dists(X, X) >= 0).all()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ml.online import BatchOnlineSVM
+from repro.ml.online import BatchOnlineSVM, default_svc_factory
+from repro.ml.scaling import StandardScaler
 from repro.obs import NULL_OBS, Obs
 
 
@@ -58,6 +59,14 @@ class TestBuffer:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             BatchOnlineSVM(batch_size=0)
+
+    def test_samples_until_retrain_counts_down(self):
+        learner = BatchOnlineSVM(batch_size=5)
+        assert learner.samples_until_retrain == 5
+        rng = np.random.default_rng(27)
+        for expected in (4, 3, 2, 1):
+            learner.add_sample(rng.uniform(-2, 2, size=3), 1.0)
+            assert learner.samples_until_retrain == expected
 
 
 class TestRetraining:
@@ -164,7 +173,6 @@ class _ListUpkeepSVM(BatchOnlineSVM):
             self._index[key] = len(self._X) - 1
             self._evict_if_needed()
         self._since_retrain += 1
-        self._n_observed += 1
 
     def _evict_if_needed(self):
         if self.max_buffer is None or len(self._X) <= self.max_buffer:
@@ -174,7 +182,6 @@ class _ListUpkeepSVM(BatchOnlineSVM):
             evicted.append(self._keys.pop(0))
             self._X.pop(0)
             self._y.pop(0)
-            self._evictions_pending += 1
         self._index = {k: i for i, k in enumerate(self._keys)}
         for key in evicted:
             if key not in self._index:
@@ -233,67 +240,34 @@ class TestSmoStepCounter:
         assert np.array_equal(plain._model.alpha_all_, recorded._model.alpha_all_)
 
 
-class TestAmortizedKernelRefresh:
-    def _feed(self, learner, n, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(n):
+class TestRefitEveryRetrain:
+    """Paper §3.1: each retrain fits over all tuples observed so far, so
+    the scaler and the RBF bandwidth are refit on the current buffer."""
+
+    @pytest.mark.parametrize("max_buffer", [None, 60])
+    def test_retrain_is_a_fresh_fit_on_the_buffer(self, max_buffer):
+        learner = BatchOnlineSVM(batch_size=10, max_buffer=max_buffer)
+        rng = np.random.default_rng(23)
+        probe = rng.uniform(-2, 2, size=(30, 3))
+        retrains = 0
+        for _ in range(150):
             x = rng.uniform(-2, 2, size=3)
-            learner.observe(x, 1.0 if (x**2).sum() < 4.0 else -1.0)
-
-    def test_scaler_frozen_between_refreshes(self):
-        learner = BatchOnlineSVM(batch_size=10)
-        self._feed(learner, 20, seed=23)
-        scaler_after_first = learner._scaler
-        self._feed(learner, 10, seed=24)  # second retrain, same epoch
-        assert learner._scaler is scaler_after_first
-        self._feed(learner, 30, seed=25)  # past the refresh interval
-        assert learner._scaler is not scaler_after_first
-
-    def test_refresh_schedule_independent_of_cache_flag(self):
-        runs = {}
-        for flag in (False, True):
-            learner = BatchOnlineSVM(batch_size=10, use_gram_cache=flag)
-            self._feed(learner, 150, seed=26)
-            runs[flag] = (
-                learner._samples_at_refresh,
-                learner._rows_at_refresh,
-                learner._scaler.mean_.tolist(),
+            label = 1.0 if (x**2).sum() < 4.0 else -1.0
+            if retrains and rng.random() < 0.2:
+                # A repeated tuple, relabelled under the replacement rule.
+                X, y = learner.training_set()
+                i = int(rng.integers(len(learner)))
+                x, label = X[i], -y[i]
+            if not learner.observe(x, label):
+                continue
+            retrains += 1
+            X, y = learner.training_set()
+            scaler = StandardScaler().fit(X)
+            assert np.array_equal(learner._scaler.mean_, scaler.mean_)
+            assert np.array_equal(learner._scaler.scale_, scaler.scale_)
+            fresh = default_svc_factory().fit(scaler.transform(X), y)
+            assert np.array_equal(
+                learner.decision_function(probe),
+                fresh.decision_function(scaler.transform(probe)),
             )
-        assert runs[False] == runs[True]
-
-    def test_samples_until_retrain_counts_down(self):
-        learner = BatchOnlineSVM(batch_size=5)
-        assert learner.samples_until_retrain == 5
-        rng = np.random.default_rng(27)
-        for expected in (4, 3, 2, 1):
-            learner.add_sample(rng.uniform(-2, 2, size=3), 1.0)
-            assert learner.samples_until_retrain == expected
-
-    def test_kernel_state_roundtrip_preserves_decisions(self):
-        # A learner restored mid-epoch must retrain with the *same*
-        # frozen scaler and bandwidth, so post-reload margins match.
-        # 50 samples at batch_size=10: the last retrain sits exactly on a
-        # batch boundary (model == buffer) but mid-epoch — the scaler was
-        # frozen at sample 40, so a clone that refit it would diverge.
-        learner = BatchOnlineSVM(batch_size=10)
-        self._feed(learner, 50, seed=28)
-        assert learner._samples_at_refresh < learner._n_observed
-        state = learner.kernel_state()
-        assert state is not None
-
-        clone = BatchOnlineSVM(batch_size=10)
-        X, y = learner.training_set()
-        for x, label in zip(X, y):
-            clone.add_sample(x, label)
-        clone.restore_kernel_state(state)
-        clone.retrain()
-
-        probe = np.random.default_rng(29).uniform(-2, 2, size=(40, 3))
-        assert np.array_equal(
-            learner.decision_function(probe), clone.decision_function(probe)
-        )
-
-    def test_kernel_state_none_before_first_retrain(self):
-        learner = BatchOnlineSVM(batch_size=100)
-        learner.add_sample(np.zeros(3), 1.0)
-        assert learner.kernel_state() is None
+        assert retrains == 15

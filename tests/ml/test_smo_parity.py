@@ -208,17 +208,17 @@ def test_solver_paths_match_oracle(n, duplicates, seed, max_iter, shrinking, sta
 
 def test_closed_loop_fits_match_oracle(monkeypatch):
     """Every fit of a seeded closed loop — bootstrap cross-validation,
-    warm-started online retrains on cached Grams — matches the oracle."""
+    warm-started online retrains — matches the oracle."""
     inner_fit = SVC.fit
     fits = []
 
-    def checked_fit(self, X, y, alpha_init=None, gram=None):
-        inner_fit(self, X, y, alpha_init=alpha_init, gram=gram)
+    def checked_fit(self, X, y, alpha_init=None):
+        inner_fit(self, X, y, alpha_init=alpha_init)
         oracle = _OracleSVC(
             C=self.C, kernel=self.kernel, tol=self.tol,
             max_iter=self.max_iter, shrinking=self.shrinking,
         )
-        inner_fit(oracle, X, y, alpha_init=alpha_init, gram=gram)
+        inner_fit(oracle, X, y, alpha_init=alpha_init)
         _assert_identical(self, oracle)
         fits.append(self.n_iter_)
         return self

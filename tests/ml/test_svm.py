@@ -193,24 +193,6 @@ class TestGammaFreezing:
         assert model._fit_kernel.gamma != pytest.approx(sv_gamma, rel=1e-6)
 
 
-class TestPrecomputedGram:
-    def test_gram_path_bit_identical(self):
-        X, y = _linear_problem(n=150, seed=23, noise=0.05)
-        Xt = np.random.default_rng(24).normal(size=(50, 3))
-        plain = SVC(C=5.0, kernel="rbf", gamma=0.4).fit(X, y)
-        K = plain._fit_kernel(X, X)
-        via_gram = SVC(C=5.0, kernel="rbf", gamma=0.4).fit(X, y, gram=K)
-        assert np.array_equal(plain.alpha_all_, via_gram.alpha_all_)
-        assert np.array_equal(
-            plain.decision_function(Xt), via_gram.decision_function(Xt)
-        )
-
-    def test_wrong_shape_rejected(self):
-        X, y = _linear_problem(n=40, seed=25)
-        with pytest.raises(ValueError, match="gram"):
-            SVC().fit(X, y, gram=np.eye(7))
-
-
 class TestShrinking:
     def test_shrinking_solution_equivalent(self):
         # Shrinking is an optimization of the working-set scan, not of
