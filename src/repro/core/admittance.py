@@ -176,7 +176,7 @@ class AdmittanceClassifier:
     # ------------------------------------------------------------------
     def _both_classes_present(self) -> bool:
         _, y = self._learner.training_set()
-        return y.size > 0 and len(np.unique(y)) == 2
+        return y.size > 0 and len(set(y.tolist())) == 2
 
     def _cv_accuracy(self) -> float:
         X, y = self._learner.training_set()

@@ -15,10 +15,22 @@ so a Gram matrix assembled from sub-blocks would differ in the last ulp
 from a single full call. With per-dimension accumulation,
 ``k(X, Z)[i, j]`` is a pure function of ``(X[i], Z[j])`` — bit-identical
 whether computed alone, inside a block, or as part of the full matrix.
-That is what makes a single arrival's margin (one row against the
-support vectors) bit-identical to its row of a batched
-``classify_batch`` call: the evaluation harness decides in batches on
-that guarantee, and ``perfbench`` checks it per decided arrival.
+
+:meth:`SVC.decision_function <repro.ml.svm.SVC.decision_function>`
+keeps the same property one level up: it reduces each row of weighted
+kernel entries over the support vectors on its own (a per-row sum, not
+a BLAS ``coef @ K``), so a single arrival's margin is bit-identical to
+its row of a batched ``classify_batch`` call. The evaluation harness
+decides in batches on that guarantee, and ``perfbench`` checks it per
+decided arrival. For the RBF kernel, inference builds its rows against
+the support vectors in one broadcast (``X[:, None, :] - SV``, squared,
+summed over features) rather than through :func:`pairwise_sq_dists`.
+numpy sums fewer than 8 contiguous terms left to right, the order of the
+per-dimension loop, so below 8 features the two give equal entries; from
+8 features on numpy's pairwise summation may round the squared distance
+differently, by a relative ``(d - 1) * eps`` at most. Training keeps the
+loop: on a 140-1000-row Gram it is two to three times as fast as the
+broadcast. Both relations are tested in ``tests/ml/test_svm.py``.
 """
 
 from __future__ import annotations

@@ -216,11 +216,9 @@ class BatchOnlineSVM:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def _prepare(self, X: ArrayLike) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._scaler is not None:
-            X = self._scaler.transform(X)
-        return X
+    def _prepare(self, X: ArrayLike) -> ArrayLike:
+        """Scaled features; the model converts and shapes its input."""
+        return X if self._scaler is None else self._scaler.transform(X)
 
     def predict(self, X: ArrayLike) -> np.ndarray:
         if self._model is None:

@@ -40,8 +40,8 @@ class StandardScaler:
     def transform(self, X: ArrayLike) -> np.ndarray:
         if self.mean_ is None or self.scale_ is None:
             raise RuntimeError("scaler must be fitted before transform")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.asarray((X - self.mean_) / self.scale_)
+        Z: np.ndarray = (np.asarray(X, dtype=float) - self.mean_) / self.scale_
+        return Z
 
     def fit_transform(self, X: ArrayLike) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.ml.arrays import ArrayLike
-from repro.ml.kernels import Kernel, freeze_kernel, resolve_kernel
+from repro.ml.kernels import Kernel, RBFKernel, freeze_kernel, resolve_kernel
 from repro.obs.facade import NULL_OBS, Obs
 
 __all__ = ["SVC", "NotFittedError"]
@@ -83,12 +83,12 @@ class SVC:
     # Fit products; populated by :meth:`fit` (guarded by ``_fitted``).
     _n_features: int
     _constant: Optional[float]
-    _alpha: np.ndarray
     _sv_X: np.ndarray
-    _sv_y: np.ndarray
+    _coef: np.ndarray  # alpha_i * y_i per support vector
     _alpha_all_: np.ndarray
     _b: float
     _fit_kernel: Kernel
+    _gamma: Optional[float]
     _n_iter: int
 
     def __init__(
@@ -156,18 +156,22 @@ class SVC:
             raise ValueError("X and y have mismatched lengths")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty training set")
-        labels = set(np.unique(y))
+        labels = set(y.tolist())
         if not labels <= {-1.0, 1.0}:
             raise ValueError(f"labels must be in {{-1, +1}}, got {sorted(labels)}")
 
         self._n_features = X.shape[1]
         self._fit_kernel = freeze_kernel(self.kernel, X)
+        self._gamma = (
+            float(self._fit_kernel.gamma)
+            if isinstance(self._fit_kernel, RBFKernel)
+            else None
+        )
         if len(labels) == 1:
             # Constant predictor: no separating boundary exists yet.
             self._constant = float(y[0])
-            self._alpha = np.zeros(0)
             self._sv_X = np.zeros((0, X.shape[1]))
-            self._sv_y = np.zeros(0)
+            self._coef = np.zeros(0)
             self._alpha_all_ = np.zeros(X.shape[0])
             self._b = 0.0
             self._n_iter = 0
@@ -238,9 +242,8 @@ class SVC:
 
         self._b = self._bias_from_kkt(alpha, errors, y, eps)
         sv = alpha > 1e-8
-        self._alpha = alpha[sv]
         self._sv_X = X[sv]
-        self._sv_y = y[sv]
+        self._coef = alpha[sv] * y[sv]
         self._alpha_all_ = alpha
         if not sv.any():
             # Optimizer found no boundary; predict the majority class.
@@ -536,23 +539,39 @@ class SVC:
         (Section 4.1 of the paper) uses this margin directly: the larger
         it is, the deeper inside the capacity region the point lies. For
         a constant (single-class) model the margin is ±1 everywhere.
+
+        Each row is reduced over the support vectors on its own, so one
+        arrival's margin equals its row of any batch bit for bit (see
+        :mod:`repro.ml.kernels`, which also relates the RBF rows built
+        here to the training kernel).
         """
         if not self._fitted:
             raise NotFittedError("SVC must be fitted before inference")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
+        if X.ndim < 2:
+            X = X.reshape(1, -1)
         if X.shape[1] != self._n_features:
             raise ValueError(
                 f"expected {self._n_features} features, got {X.shape[1]}"
             )
         if self._constant is not None:
             return np.full(X.shape[0], self._constant)
-        if self._alpha.shape[0] == 0:
+        if self._coef.shape[0] == 0:
             return np.full(X.shape[0], self._b)
-        # The gamma-frozen kernel from fit time: ``gamma="scale"`` was
-        # resolved against the training rows, not the support vectors,
-        # so train-time and inference-time Grams agree on the bandwidth.
-        K = self._fit_kernel(self._sv_X, X)
-        return np.asarray((self._alpha * self._sv_y) @ K + self._b)
+        if self._gamma is None:
+            K = np.multiply(self._fit_kernel(X, self._sv_X), self._coef)
+        else:
+            # gamma was resolved against the training rows at fit time,
+            # so train-time and inference-time kernels share a bandwidth.
+            K = X[:, None, :] - self._sv_X
+            np.multiply(K, K, out=K)
+            K = K.sum(axis=2)
+            np.multiply(K, -self._gamma, out=K)
+            np.exp(K, out=K)
+            K *= self._coef
+        margins: np.ndarray = K.sum(axis=1)
+        margins += self._b
+        return margins
 
     def predict(self, X: ArrayLike) -> np.ndarray:
         """Predict labels in {-1, +1} for each row of ``X``."""

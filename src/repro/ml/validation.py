@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -122,6 +120,11 @@ def _fold_scores(
     else:
         jobs = max(1, min(int(n_jobs), len(folds)))
     if jobs > 1:
+        # Imported here: the serial path, the default for bootstrap-sized
+        # sets, never loads concurrent.futures.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         work = [(model_factory, X, y, tr, te) for tr, te in folds]
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:

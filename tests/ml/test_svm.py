@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.closedloop import run_closed_loop
+from repro.experiments.harness import ExBoxScheme
 from repro.ml.svm import NotFittedError, SVC
+from repro.testbed.wifi_testbed import WiFiTestbed
 
 
 def _linear_problem(n=200, seed=0, noise=0.0):
@@ -234,3 +239,118 @@ class TestShrinking:
         cold = SVC(C=10.0, shrinking=True).fit(X, y)
         warm = SVC(C=10.0, shrinking=True).fit(X, y, alpha_init=cold.alpha_all_)
         assert warm.score(X, y) >= cold.score(X, y) - 0.02
+
+
+def _oracle_decision_function(model, X):
+    """The inference body ``SVC`` had before its per-row reduction: one
+    kernel matrix against the support vectors, contracted by BLAS
+    (``coef @ K``), whose rounding depends on the batch shape."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if model.is_constant_:
+        return np.full(X.shape[0], model.intercept_)
+    if model.n_support_ == 0:
+        return np.full(X.shape[0], model._b)
+    alpha_sv_y = model._coef  # alpha * sv_y, formed once at fit time
+    K = model._fit_kernel(model._sv_X, X)
+    return np.asarray(alpha_sv_y @ K + model._b)
+
+
+def _mixed_fit(kernel, n, d, seed):
+    """A two-class fit with label noise, so many rows are support vectors."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = np.where(X[:, 0] + 0.5 * X[:, -1] ** 2 > 0.5, 1.0, -1.0)
+    y[rng.random(n) < 0.15] *= -1
+    y[:2] = (1.0, -1.0)
+    model = SVC(C=10.0, kernel=kernel).fit(X, y)
+    return model, rng.normal(size=(40, d))
+
+
+class TestEntryExactMargins:
+    """A row's margin is a pure function of that row: alone, in any
+    subset or in any order it equals its row of the full batch."""
+
+    @given(
+        kernel=st.sampled_from(["rbf", "linear", "poly"]),
+        n=st.integers(8, 300),
+        d=st.integers(1, 10),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_row_alone_subset_and_permutation_match_batch(
+        self, kernel, n, d, seed, data
+    ):
+        model, Xq = _mixed_fit(kernel, n, d, seed)
+        full = model.decision_function(Xq)
+        for i in range(Xq.shape[0]):
+            assert model.decision_function(Xq[i]).tobytes() == full[i : i + 1].tobytes()
+        order = data.draw(st.permutations(range(Xq.shape[0])))
+        subset = order[: data.draw(st.integers(1, Xq.shape[0]))]
+        assert model.decision_function(Xq[subset]).tobytes() == full[subset].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 4, 7, 8, 10])
+    def test_rbf_rows_match_training_kernel(self, d):
+        """Inference RBF rows equal the training kernel
+        (``pairwise_sq_dists``) bit for bit below 8 features; from 8 on,
+        numpy's pairwise sum over features may round the squared distance
+        differently, by a relative ``(d - 1) * eps`` at most."""
+        model, Xq = _mixed_fit("rbf", 200, d, seed=d)
+        K = model._fit_kernel(Xq, model.support_vectors_)
+        via_training_kernel = (K * model._coef).sum(axis=1) + model.intercept_
+        margins = model.decision_function(Xq)
+        if d < 8:
+            assert margins.tobytes() == via_training_kernel.tobytes()
+        else:
+            # |ds| <= (d - 1) eps s moves exp(-gamma s) by at most
+            # (d - 1) eps / e (+ 1 ulp), and reducing slightly different
+            # terms over m support vectors rounds apart by <= m eps each.
+            eps = np.finfo(float).eps
+            m = model.n_support_
+            atol = (d + m) * eps * np.abs(model._coef).sum()
+            assert np.all(np.abs(margins - via_training_kernel) <= atol)
+
+
+class TestOracleMargins:
+    """Against the old ``coef @ K`` body, margins move only by rounding."""
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly"])
+    @pytest.mark.parametrize("n,d", [(200, 4), (600, 3), (400, 9)])
+    def test_margins_within_rounding_of_oracle(self, kernel, n, d):
+        model, Xq = _mixed_fit(kernel, n, d, seed=n + d)
+        Xq = np.vstack([Xq, np.random.default_rng(d).normal(size=(400, d))])
+        ours = model.decision_function(Xq)
+        oracle = _oracle_decision_function(model, Xq)
+        if kernel == "poly":
+            # Cubic kernel values reach the hundreds here and their
+            # weighted sum cancels, so both summation orders are exact
+            # only to within ~m ulps of the terms' absolute sum.
+            terms = np.abs(model._fit_kernel(Xq, model.support_vectors_) * model._coef)
+            bound = 2 * model.n_support_ * np.finfo(float).eps * terms.sum(axis=1)
+        else:
+            bound = 1e-12 * (1.0 + np.abs(oracle))
+        assert np.all(np.abs(ours - oracle) <= bound)
+        assert np.array_equal(ours >= 0, oracle >= 0)
+
+    def test_closed_loop_makes_the_oracles_decisions(self, monkeypatch):
+        def episode():
+            decisions = []
+            inner = SVC.decision_function
+
+            def recording(self, X):
+                margins = inner(self, X)
+                decisions.extend((margins >= 0).tolist())
+                return margins
+
+            monkeypatch.setattr(SVC, "decision_function", recording)
+            result = run_closed_loop(
+                ExBoxScheme(batch_size=20), WiFiTestbed(), seed=17,
+                duration_min=60, arrivals_per_min=4.0,
+            )
+            return decisions, result.as_row()
+
+        ours = episode()
+        monkeypatch.setattr(SVC, "decision_function", _oracle_decision_function)
+        oracle = episode()
+        assert len(ours[0]) >= 200
+        assert ours == oracle
