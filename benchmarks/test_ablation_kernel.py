@@ -27,7 +27,7 @@ def _run_kernel(kernel: str):
             batch_size=20,
             min_bootstrap_samples=40,
             max_bootstrap_samples=60,
-            model_factory=lambda: SVC(C=10.0, kernel=kernel, random_state=7),
+            model_factory=lambda: SVC(C=10.0, kernel=kernel),
         )
     )
     return evaluate_scheme(samples, scheme, n_bootstrap=60, eval_every=80)

@@ -19,7 +19,7 @@ from repro.testbed.wifi_testbed import WiFiTestbed
 from repro.traffic.arrival import random_matrix_sequence
 
 _FACTORIES = {
-    "svm-rbf": lambda: SVC(C=10.0, kernel="rbf", random_state=7),
+    "svm-rbf": lambda: SVC(C=10.0, kernel="rbf"),
     "cart-tree": lambda: DecisionTreeClassifier(max_depth=8),
 }
 

@@ -26,7 +26,6 @@ from repro.core import (
     ExBox,
     ExperientialCapacityRegion,
     MaxClientAdmission,
-    NetworkSelector,
     Phase,
     PolicyAction,
     QoEEstimator,
@@ -50,7 +49,6 @@ __all__ = [
     "FlowRequest",
     "LTETestbed",
     "MaxClientAdmission",
-    "NetworkSelector",
     "Phase",
     "PolicyAction",
     "QoEEstimator",

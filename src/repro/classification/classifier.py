@@ -8,12 +8,11 @@ as the paper describes in Section 4.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.classification.features import early_packet_features
-from repro.ml.multiclass import OneVsRestClassifier
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.scaling import StandardScaler
 from repro.traffic.flows import APP_CLASSES
@@ -24,20 +23,12 @@ __all__ = ["FlowClassifier"]
 
 
 class FlowClassifier:
-    """Flow classifier on early-packet statistics.
+    """Gaussian naive Bayes flow classifier on early-packet statistics."""
 
-    ``backend`` selects the learner: ``"gnb"`` (Gaussian naive Bayes,
-    the default — fast, probabilistic) or ``"svm"`` (one-vs-rest over
-    the from-scratch SVC, margin-based).
-    """
-
-    def __init__(self, n_packets: int = 50, backend: str = "gnb") -> None:
-        if backend not in ("gnb", "svm"):
-            raise ValueError(f"backend must be 'gnb' or 'svm', got {backend!r}")
+    def __init__(self, n_packets: int = 50) -> None:
         self.n_packets = int(n_packets)
-        self.backend = backend
         self._scaler: Optional[StandardScaler] = None
-        self._model = None
+        self._model: Optional[GaussianNaiveBayes] = None
 
     @property
     def is_trained(self) -> bool:
@@ -54,10 +45,9 @@ class FlowClassifier:
             [early_packet_features(trace, self.n_packets) for trace in traces]
         )
         self._scaler = StandardScaler().fit(X)
-        model = (
-            GaussianNaiveBayes() if self.backend == "gnb" else OneVsRestClassifier()
+        self._model = GaussianNaiveBayes().fit(
+            self._scaler.transform(X), np.asarray(labels)
         )
-        self._model = model.fit(self._scaler.transform(X), np.asarray(labels))
         return self
 
     @classmethod
@@ -67,7 +57,6 @@ class FlowClassifier:
         flows_per_class: int = 30,
         trace_duration_s: float = 20.0,
         n_packets: int = 50,
-        backend: str = "gnb",
     ) -> "FlowClassifier":
         """Train on freshly generated synthetic traces of every class."""
         traces: List[Sequence[Packet]] = []
@@ -80,7 +69,7 @@ class FlowClassifier:
                     continue
                 traces.append(list(trace))
                 labels.append(app_class)
-        return cls(n_packets=n_packets, backend=backend).fit(traces, labels)
+        return cls(n_packets=n_packets).fit(traces, labels)
 
     def classify(self, packets: Sequence[Packet]) -> str:
         """Application class of a flow from its first packets."""
@@ -88,24 +77,6 @@ class FlowClassifier:
             raise RuntimeError("classifier must be trained first")
         x = early_packet_features(packets, self.n_packets)[None, :]
         return str(self._model.predict(self._scaler.transform(x))[0])
-
-    def classify_proba(self, packets: Sequence[Packet]) -> Dict[str, float]:
-        """Per-class scores for a flow, normalized to sum to 1.
-
-        Calibrated posteriors for the GNB backend; a softmax over
-        one-vs-rest margins for the SVM backend.
-        """
-        if self._model is None or self._scaler is None:
-            raise RuntimeError("classifier must be trained first")
-        x = early_packet_features(packets, self.n_packets)[None, :]
-        z = self._scaler.transform(x)
-        if self.backend == "gnb":
-            probs = self._model.predict_proba(z)[0]
-        else:
-            scores = self._model.decision_matrix(z)[0]
-            scores = np.exp(scores - scores.max())
-            probs = scores / scores.sum()
-        return {str(c): float(p) for c, p in zip(self._model.classes_, probs)}
 
     def accuracy(self, traces: Sequence[Sequence[Packet]], labels: Sequence[str]) -> float:
         """Classification accuracy over labelled traces."""

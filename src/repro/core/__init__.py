@@ -10,16 +10,14 @@
   schemes (Section 5.3),
 - :mod:`repro.core.exbox` — the middlebox facade tying the components
   together (Figure 5),
-- :mod:`repro.core.selection` — multi-cell network selection via the
-  SVM margin (Section 4.1),
 - :mod:`repro.core.dynamics` — periodic re-evaluation of admitted flows
   (Section 4.3),
 - :mod:`repro.core.policies` — what happens to rejected/revoked flows
   (Section 4.2),
 - :mod:`repro.core.app_admission` — app-level admission via dominant
   flows (Section 4.5),
-- :mod:`repro.core.fleet` — multi-cell scale-out with shared IQX models
-  (Section 4.4).
+- :mod:`repro.core.fleet` — multi-cell network selection via the SVM
+  margin (Section 4.1) and scale-out with shared IQX models (Section 4.4).
 """
 
 from repro.core.admittance import AdmittanceClassifier, Phase
@@ -31,7 +29,6 @@ from repro.core.excr import ExperientialCapacityRegion, TrafficMatrix, encode_ev
 from repro.core.fleet import ExBoxFleet, FleetDecision
 from repro.core.policies import AdmittancePolicy, PolicyAction
 from repro.core.qoe_estimator import QoEEstimator
-from repro.core.selection import NetworkSelector
 
 __all__ = [
     "AdmissionDecision",
@@ -47,7 +44,6 @@ __all__ = [
     "ExperientialCapacityRegion",
     "FlowRevalidator",
     "MaxClientAdmission",
-    "NetworkSelector",
     "Phase",
     "PolicyAction",
     "QoEEstimator",

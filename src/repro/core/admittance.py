@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional, overload
 
 import numpy as np
 
-from repro.ml.online import BatchOnlineSVM
+from repro.ml.online import BatchOnlineSVM, default_svc_factory
 from repro.ml.scaling import StandardScaler
 from repro.ml.svm import SVC
 from repro.ml.validation import cross_val_accuracy
@@ -44,18 +44,6 @@ class Phase(enum.Enum):
     ONLINE = "online"
 
 
-class _SVCFactory:
-    """Default model factory. A module-level class (not a lambda) so the
-    factory pickles, which is what lets cross-validation farm folds out
-    to a process pool."""
-
-    def __init__(self, random_state: int) -> None:
-        self.random_state = random_state
-
-    def __call__(self) -> SVC:
-        return SVC(C=10.0, kernel="rbf", random_state=self.random_state)
-
-
 class AdmittanceClassifier:
     """Online SVM admission controller over encoded flow arrivals.
 
@@ -68,6 +56,8 @@ class AdmittanceClassifier:
         Cross-validation accuracy required to leave bootstrap.
     cv_folds:
         ``n`` of the paper's n-fold validation.
+    random_state:
+        Seed of the cross-validation fold shuffle.
     min_bootstrap_samples:
         Don't even attempt CV below this (the paper observes ~50 samples
         suffice).
@@ -130,7 +120,7 @@ class AdmittanceClassifier:
         self.cv_check_every = int(cv_check_every)
         self.random_state = random_state
         self.cv_jobs = cv_jobs
-        self._factory = model_factory or _SVCFactory(random_state)
+        self._factory = model_factory or default_svc_factory
         self.obs = obs if obs is not None else NULL_OBS
         self._learner = BatchOnlineSVM(
             batch_size=batch_size,

@@ -18,7 +18,7 @@ vectors; with ``r = 2`` the 8-dimensional mixed-SNR vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence, Tuple
+from typing import Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -192,7 +192,6 @@ class ExperientialCapacityRegion:
     def boundary_profile(
         self,
         app_class_index: int,
-        other_counts: Iterable[Tuple[TrafficMatrix, int]] = (),
         max_count: int = 50,
         snr_level: int = 0,
     ) -> int:

@@ -127,7 +127,7 @@ def measure_training_latency(
         raise ValueError("need at least 4 samples")
     obs = obs if obs is not None and obs.enabled else Obs.recording()
     factory = model_factory or (
-        lambda: SVC(C=10.0, kernel="rbf", random_state=0, obs=obs)
+        lambda: SVC(C=10.0, kernel="rbf", obs=obs)
     )
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 10, size=(n_samples, n_features))

@@ -8,28 +8,24 @@ top of numpy.
 
 from repro.ml.kernels import LinearKernel, PolynomialKernel, RBFKernel, resolve_kernel
 from repro.ml.metrics import (
-    ClassificationReport,
     accuracy_score,
     confusion_matrix,
-    f1_score,
     precision_score,
     recall_score,
 )
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.online import BatchOnlineSVM
-from repro.ml.scaling import MinMaxScaler, StandardScaler
+from repro.ml.scaling import StandardScaler
 from repro.ml.svm import SVC
 from repro.ml.tree import DecisionTreeClassifier
-from repro.ml.validation import KFold, cross_val_accuracy, train_test_split
+from repro.ml.validation import KFold, cross_val_accuracy
 
 __all__ = [
     "BatchOnlineSVM",
-    "ClassificationReport",
     "DecisionTreeClassifier",
     "GaussianNaiveBayes",
     "KFold",
     "LinearKernel",
-    "MinMaxScaler",
     "PolynomialKernel",
     "RBFKernel",
     "SVC",
@@ -37,9 +33,7 @@ __all__ = [
     "accuracy_score",
     "confusion_matrix",
     "cross_val_accuracy",
-    "f1_score",
     "precision_score",
     "recall_score",
     "resolve_kernel",
-    "train_test_split",
 ]

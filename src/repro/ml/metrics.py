@@ -11,7 +11,6 @@ Here "admit" is the positive (+1) class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -20,10 +19,8 @@ import numpy as np
 LabelArray = Union[np.ndarray, Sequence[float], Sequence[int]]
 
 __all__ = [
-    "ClassificationReport",
     "accuracy_score",
     "confusion_matrix",
-    "f1_score",
     "precision_score",
     "recall_score",
 ]
@@ -83,41 +80,3 @@ def recall_score(
     if tp + fn == 0:
         return default
     return float(tp / (tp + fn))
-
-
-def f1_score(y_true: LabelArray, y_pred: LabelArray) -> float:
-    """Harmonic mean of precision and recall (0.0 when both are 0)."""
-    p = precision_score(y_true, y_pred, default=0.0)
-    r = recall_score(y_true, y_pred, default=0.0)
-    if p + r == 0:
-        return 0.0
-    return 2 * p * r / (p + r)
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Bundle of the three paper metrics over one evaluation window."""
-
-    precision: float
-    recall: float
-    accuracy: float
-    n_samples: int
-
-    @classmethod
-    def from_predictions(
-        cls, y_true: LabelArray, y_pred: LabelArray
-    ) -> "ClassificationReport":
-        yt = _as_labels(y_true)
-        return cls(
-            precision=precision_score(yt, y_pred),
-            recall=recall_score(yt, y_pred),
-            accuracy=accuracy_score(yt, y_pred),
-            n_samples=int(yt.size),
-        )
-
-    def as_row(self) -> str:
-        """One-line textual form used by the benchmark harness output."""
-        return (
-            f"n={self.n_samples:5d}  precision={self.precision:.3f}  "
-            f"recall={self.recall:.3f}  accuracy={self.accuracy:.3f}"
-        )

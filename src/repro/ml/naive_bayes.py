@@ -72,12 +72,6 @@ class GaussianNaiveBayes:
         jll = self._joint_log_likelihood(X)
         return np.asarray(self.classes_[np.argmax(jll, axis=1)])
 
-    def predict_proba(self, X: ArrayLike) -> np.ndarray:
-        jll = self._joint_log_likelihood(X)
-        jll -= jll.max(axis=1, keepdims=True)
-        probs = np.exp(jll)
-        return np.asarray(probs / probs.sum(axis=1, keepdims=True))
-
     def score(self, X: ArrayLike, y: Union[np.ndarray, Sequence[Any]]) -> float:
         y = np.asarray(y)
         return float(np.mean(self.predict(X) == y))

@@ -35,7 +35,7 @@ __all__ = ["BatchOnlineSVM", "default_svc_factory"]
 def default_svc_factory() -> SVC:
     """The stock online-learner model (module-level, hence picklable —
     lambdas would break the process-parallel CV path)."""
-    return SVC(C=10.0, kernel="rbf", random_state=7)
+    return SVC(C=10.0, kernel="rbf")
 
 
 class BatchOnlineSVM:
@@ -53,9 +53,6 @@ class BatchOnlineSVM:
         When True (the paper's rule), re-observing a feature vector
         replaces its stored label; when False samples are append-only.
         The append-only variant exists for the ablation benchmark.
-    scale:
-        Standardize features before each fit (recommended for RBF). The
-        scaler is refit on the whole buffer at every retrain.
     max_buffer:
         Optional cap on stored samples; oldest are evicted first, in
         O(1) per eviction.
@@ -73,7 +70,6 @@ class BatchOnlineSVM:
         batch_size: int = 20,
         model_factory: Optional[Callable[[], SVC]] = None,
         replace_repeated: bool = True,
-        scale: bool = True,
         max_buffer: Optional[int] = None,
         warm_start: bool = False,
         obs: Optional[Obs] = None,
@@ -85,7 +81,6 @@ class BatchOnlineSVM:
         self.batch_size = int(batch_size)
         self.model_factory = model_factory or default_svc_factory
         self.replace_repeated = replace_repeated
-        self.scale = scale
         self.max_buffer = max_buffer
         self.warm_start = warm_start
         self.obs = obs if obs is not None else NULL_OBS
@@ -195,9 +190,8 @@ class BatchOnlineSVM:
         if not self._X:
             raise RuntimeError("no samples to train on")
         X, y = self.training_set()
-        if self.scale:
-            self._scaler = StandardScaler().fit(X)
-            X = self._scaler.transform(X)
+        self._scaler = StandardScaler().fit(X)
+        X = self._scaler.transform(X)
         model = self.model_factory()
         if isinstance(model, SVC):
             alpha_init: Optional[List[float]] = None

@@ -1,19 +1,19 @@
 """Feature scaling for SVM inputs.
 
 RBF-kernel SVMs are scale-sensitive, so ExBox standardizes the traffic
-matrix features before training. Both scalers follow the familiar
-fit/transform protocol and are safe on constant features.
+matrix features before training. The scaler follows the familiar
+fit/transform protocol and is safe on constant features.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.ml.arrays import ArrayLike
 
-__all__ = ["StandardScaler", "MinMaxScaler"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler:
@@ -45,53 +45,3 @@ class StandardScaler:
 
     def fit_transform(self, X: ArrayLike) -> np.ndarray:
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: ArrayLike) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("scaler must be fitted before inverse_transform")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.asarray(X * self.scale_ + self.mean_)
-
-
-class MinMaxScaler:
-    """Scale features into ``[lo, hi]`` (default ``[0, 1]``).
-
-    Constant columns map to ``lo``.
-    """
-
-    def __init__(self, feature_range: Tuple[float, float] = (0.0, 1.0)) -> None:
-        lo, hi = feature_range
-        if not lo < hi:
-            raise ValueError("feature_range must satisfy lo < hi")
-        self.feature_range = (float(lo), float(hi))
-        self.min_: Optional[np.ndarray] = None
-        self.range_: Optional[np.ndarray] = None
-
-    def fit(self, X: ArrayLike) -> "MinMaxScaler":
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit a scaler on an empty array")
-        self.min_ = X.min(axis=0)
-        rng = X.max(axis=0) - self.min_
-        rng[rng == 0] = 1.0
-        self.range_ = rng
-        return self
-
-    def transform(self, X: ArrayLike) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("scaler must be fitted before transform")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        lo, hi = self.feature_range
-        unit = (X - self.min_) / self.range_
-        return np.asarray(unit * (hi - lo) + lo)
-
-    def fit_transform(self, X: ArrayLike) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: ArrayLike) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("scaler must be fitted before inverse_transform")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        lo, hi = self.feature_range
-        unit = (X - lo) / (hi - lo)
-        return np.asarray(unit * self.range_ + self.min_)

@@ -54,10 +54,6 @@ class SVC:
         Duality-gap tolerance for the working-set stopping rule.
     max_iter:
         Hard cap on pair optimizations (safety valve).
-    random_state:
-        Seed kept for interface stability; the maximal-violating-pair
-        selection itself is deterministic, so fits are bit-identical
-        regardless of its value. Must be an int or None.
     shrinking:
         Enable the libsvm-style shrinking heuristic: bound multipliers
         that stopped violating the KKT conditions are periodically
@@ -98,7 +94,6 @@ class SVC:
         gamma: Union[float, str] = "scale",
         tol: float = 1e-3,
         max_iter: int = 100000,
-        random_state: Optional[int] = None,
         shrinking: bool = True,
         obs: Optional[Obs] = None,
     ) -> None:
@@ -111,14 +106,6 @@ class SVC:
             self.kernel = resolve_kernel(kernel)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        if random_state is not None and not isinstance(
-            random_state, (int, np.integer)
-        ):
-            raise TypeError(
-                "random_state must be an int or None, got "
-                f"{type(random_state).__name__}"
-            )
-        self.random_state = None if random_state is None else int(random_state)
         self.shrinking = bool(shrinking)
         self.obs = obs if obs is not None else NULL_OBS
         self._fitted = False

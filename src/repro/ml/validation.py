@@ -1,4 +1,4 @@
-"""Model validation utilities: k-fold cross-validation and splits.
+"""Model validation utilities: k-fold cross-validation.
 
 ExBox's bootstrap phase (Section 3.1) exits once n-fold cross-validation
 accuracy on the collected training set crosses a threshold; this module
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.ml.arrays import ArrayLike
 
-__all__ = ["KFold", "cross_val_accuracy", "train_test_split"]
+__all__ = ["KFold", "cross_val_accuracy"]
 
 #: Below this many samples a fold fit is so cheap that process spawn
 #: overhead dominates; the auto heuristic stays serial.
@@ -134,26 +134,3 @@ def _fold_scores(
                 BrokenProcessPool, OSError):
             pass  # unpicklable factory or pool failure: fall through
     return [_cv_fold_worker((model_factory, X, y, tr, te)) for tr, te in folds]
-
-
-def train_test_split(
-    X: ArrayLike,
-    y: ArrayLike,
-    test_fraction: float = 0.25,
-    random_state: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Random split into ``(X_train, X_test, y_train, y_test)``."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y have mismatched lengths")
-    n = X.shape[0]
-    n_test = max(1, int(round(n * test_fraction)))
-    if n_test >= n:
-        raise ValueError("split leaves no training samples")
-    rng = np.random.default_rng(random_state)
-    perm = rng.permutation(n)
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]

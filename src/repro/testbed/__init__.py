@@ -10,13 +10,11 @@ get back per-flow QoS, ground-truth QoE and acceptability labels.
 
 from repro.testbed.controller import ClientController, FlowRecord, MatrixRun
 from repro.testbed.devices import MobileDevice, TrainingDevice
-from repro.testbed.epc import EvolvedPacketCore
 from repro.testbed.lte_testbed import LTETestbed
 from repro.testbed.wifi_testbed import WiFiTestbed
 
 __all__ = [
     "ClientController",
-    "EvolvedPacketCore",
     "FlowRecord",
     "LTETestbed",
     "MatrixRun",

@@ -1,11 +1,12 @@
 """The emulated LTE small-cell testbed (paper Section 5.1).
 
 8 phones against an ip.access E-40 eNodeB behind an OpenEPC core. The
-8-UE bound is the E-40's software limit and is enforced through the EPC
-attach procedure; iperf over the real testbed showed >30 Mbps and
-30-40 ms latency, which the default 10 MHz fluid LTE cell reproduces.
-ExBox and the capture/shaping tools live on the PGW, so netem profiles
-apply at the core-network side exactly as in the paper.
+8-UE bound is the E-40's software limit; it is ``max_clients`` (one
+client per device), which :meth:`EmulatedTestbed.run_flows` enforces by
+refusing a matrix with more flows. iperf over the real testbed showed
+>30 Mbps and 30-40 ms latency, which the default 10 MHz fluid LTE cell
+reproduces. ExBox and the capture/shaping tools live on the PGW, so
+netem profiles apply at the core-network side exactly as in the paper.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Dict, Optional, Sequence
 
 from repro.netem.shaping import Shaper
 from repro.testbed.base import EmulatedTestbed
-from repro.testbed.epc import EvolvedPacketCore
 from repro.wireless.channel import SnrBinner
 from repro.wireless.fluid import FluidLTECell, OfferedFlow
 from repro.wireless.qos import FlowQoS
@@ -27,7 +27,7 @@ _LTE_HIGH_SNR_DB = 30.0
 
 
 class LTETestbed(EmulatedTestbed):
-    """8-UE LTE testbed: E-40 eNodeB + EPC, ExBox at the PGW."""
+    """8-UE LTE testbed: E-40 eNodeB, ExBox at the PGW."""
 
     def __init__(
         self,
@@ -47,14 +47,6 @@ class LTETestbed(EmulatedTestbed):
         )
         self.bandwidth_hz = bandwidth_hz
         self.base_delay_s = base_delay_s
-        # Provision one SIM per phone and attach them all, as the lab
-        # deployment does; attach enforces the E-40's UE bound.
-        self.epc = EvolvedPacketCore(max_ues=n_devices)
-        self.epc.provision_sims(n_devices)
-        self.bearers = {}
-        for i in range(n_devices):
-            imsi = f"00101{i:010d}"
-            self.bearers[i] = self.epc.attach_ue(imsi)
 
     def _cell(self) -> FluidLTECell:
         cap = self.shaper.rate_bps  # PGW-side throttle caps the aggregate
@@ -69,13 +61,7 @@ class LTETestbed(EmulatedTestbed):
         offered: Sequence[OfferedFlow],
         background: Sequence[OfferedFlow] = (),
     ) -> Dict[int, FlowQoS]:
-        allocation = self._cell().allocate(offered, background=background)
-        # Account forwarded bytes at the PGW (a 1 s observation window),
-        # keeping the core's counters live like the real capture point.
-        for flow in list(offered) + list(background):
-            imsi = f"00101{(flow.flow_id % len(self.devices)):010d}"
-            self.epc.pgw.forward(imsi, int(allocation[flow.flow_id].throughput_bps / 8))
-        return allocation
+        return self._cell().allocate(offered, background=background)
 
     def place_device(self, device_id: int, snr_db: float) -> None:
         """Move a UE to a new position (changes its reported CQI)."""

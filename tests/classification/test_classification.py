@@ -55,13 +55,6 @@ class TestFlowClassifier:
         trace = list(generator_for_class("conferencing").generate(15.0, rng))
         assert trained.classify(trace) in APP_CLASSES
 
-    def test_probabilities_normalized(self, trained):
-        rng = np.random.default_rng(24)
-        trace = list(generator_for_class("web").generate(15.0, rng))
-        probs = trained.classify_proba(trace)
-        assert set(probs) == set(APP_CLASSES)
-        assert sum(probs.values()) == pytest.approx(1.0)
-
     def test_untrained_raises(self):
         with pytest.raises(RuntimeError):
             FlowClassifier().classify([Packet(0.0, 100), Packet(0.1, 100)])

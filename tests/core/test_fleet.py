@@ -142,6 +142,13 @@ class TestPlacement:
         fleet.add_cell("fresh")  # never bootstrapped: admits everything
         result = fleet.handle_arrival(FlowRequest(client_id=1, app_class=WEB))
         assert result.cell == "fresh"
+        assert result.margins["fresh"] == pytest.approx(0.0)
+
+    def test_no_cells_raises(self, estimator):
+        with pytest.raises(RuntimeError):
+            ExBoxFleet(qoe_estimator=estimator).handle_arrival(
+                FlowRequest(client_id=1, app_class=WEB)
+            )
 
 
 class TestGuardedPlacement:

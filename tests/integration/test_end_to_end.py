@@ -6,7 +6,7 @@ import pytest
 from repro.core.admittance import AdmittanceClassifier
 from repro.core.baselines import MaxClientAdmission, RateBasedAdmission
 from repro.core.exbox import ExBox
-from repro.core.selection import NetworkSelector
+from repro.core.fleet import ExBoxFleet
 from repro.experiments.datasets import build_testbed_dataset
 from repro.experiments.harness import ExBoxScheme, run_comparison
 from repro.testbed.lte_testbed import LTETestbed
@@ -92,14 +92,14 @@ class TestMiddleboxLifecycle:
         assert box.policy.log  # and the policy recorded it
 
     def test_network_selection_between_testbeds(self, estimator):
-        """Two cells, one pre-loaded: the selector must send the new flow
-        to the emptier network."""
+        """Two cells, one pre-loaded: the fleet must send the new flow to
+        the emptier network."""
         rng = np.random.default_rng(73)
-        selector = NetworkSelector()
+        fleet = ExBoxFleet(qoe_estimator=estimator)
         for name, testbed in (("wifi", WiFiTestbed()), ("lte", LTETestbed())):
-            clf = AdmittanceClassifier(
-                batch_size=20, min_bootstrap_samples=40, max_bootstrap_samples=80
-            )
+            clf = fleet.add_cell(
+                name, batch_size=20, min_bootstrap_samples=40, max_bootstrap_samples=80
+            ).admittance
             matrices = random_matrix_sequence(
                 80, max_per_class=8, rng=rng, max_total=8
             )
@@ -109,10 +109,12 @@ class TestMiddleboxLifecycle:
                 clf.observe_bootstrap(sample.x, sample.y)
             if not clf.is_online:
                 clf.force_online()
-            selector.add_cell(name, clf)
 
         # Load WiFi close to its region boundary.
-        for _ in range(3):
-            selector.commit("wifi", app_class_index=1)
-        result = selector.select(app_class_index=1)
-        assert result.network == "lte"
+        for i in range(3):
+            loaded = fleet.handle_arrival(
+                FlowRequest(client_id=i, app_class=STREAMING), candidate_cells=("wifi",)
+            )
+            assert loaded.cell == "wifi"
+        result = fleet.handle_arrival(FlowRequest(client_id=3, app_class=STREAMING))
+        assert result.cell == "lte"

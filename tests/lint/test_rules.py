@@ -220,7 +220,7 @@ class TestNUM002:
         assert rule_lines(findings, "NUM002") == [4]
 
     def test_silent_outside_kernel_dirs(self):
-        findings = run(self.BAD, relpath="src/repro/testbed/epc.py")
+        findings = run(self.BAD, relpath="src/repro/testbed/lte_testbed.py")
         assert rule_lines(findings, "NUM002") == []
 
     def test_silent_when_handler_reraises(self):

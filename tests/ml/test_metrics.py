@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.ml.metrics import (
-    ClassificationReport,
     accuracy_score,
     confusion_matrix,
-    f1_score,
     precision_score,
     recall_score,
 )
@@ -36,7 +34,6 @@ class TestScores:
         assert precision_score(y, y) == pytest.approx(1.0)
         assert recall_score(y, y) == pytest.approx(1.0)
         assert accuracy_score(y, y) == pytest.approx(1.0)
-        assert f1_score(y, y) == pytest.approx(1.0)
 
     def test_paper_definitions(self):
         # 3 admitted, 2 of them correctly -> precision 2/3.
@@ -60,9 +57,6 @@ class TestScores:
         y_pred = [-1, -1]
         assert recall_score(y_true, y_pred) == pytest.approx(1.0)
 
-    def test_f1_zero_when_no_overlap(self):
-        assert f1_score([1, -1], [-1, 1]) == pytest.approx(0.0)
-
     def test_accuracy_empty_is_zero(self):
         assert accuracy_score([], []) == pytest.approx(0.0)
 
@@ -70,18 +64,3 @@ class TestScores:
         y = np.array([1.0, -1.0, 1.0])
         assert accuracy_score(y, y) == pytest.approx(1.0)
 
-
-class TestClassificationReport:
-    def test_from_predictions(self):
-        y_true = [1, -1, 1, -1, 1]
-        y_pred = [1, -1, -1, -1, 1]
-        report = ClassificationReport.from_predictions(y_true, y_pred)
-        assert report.n_samples == 5
-        assert report.accuracy == pytest.approx(0.8)
-        assert report.precision == pytest.approx(1.0)
-        assert report.recall == pytest.approx(2 / 3)
-
-    def test_as_row_contains_metrics(self):
-        report = ClassificationReport(0.5, 0.25, 0.75, 12)
-        row = report.as_row()
-        assert "0.500" in row and "0.250" in row and "0.750" in row and "12" in row

@@ -31,20 +31,6 @@ class TestGaussianNaiveBayes:
         assert set(model.classes_) == {"a", "b", "c"}
         assert set(model.predict(X)) <= {"a", "b", "c"}
 
-    def test_probabilities_sum_to_one(self):
-        X, y = _blobs(seed=2)
-        model = GaussianNaiveBayes().fit(X, y)
-        probs = model.predict_proba(X[:10])
-        assert np.allclose(probs.sum(axis=1), 1.0)
-        assert np.all(probs >= 0)
-
-    def test_probability_agrees_with_prediction(self):
-        X, y = _blobs(seed=3)
-        model = GaussianNaiveBayes().fit(X, y)
-        probs = model.predict_proba(X)
-        argmax = model.classes_[np.argmax(probs, axis=1)]
-        assert np.all(argmax == model.predict(X))
-
     def test_prior_influences_ties(self):
         # Strongly imbalanced training tilts ambiguous points.
         rng = np.random.default_rng(4)

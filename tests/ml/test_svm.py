@@ -134,43 +134,22 @@ class TestInference:
 class TestDeterminism:
     def test_same_data_same_model(self):
         X, y = _linear_problem(n=120, seed=10)
-        a = SVC(C=10.0, random_state=0).fit(X, y)
-        b = SVC(C=10.0, random_state=0).fit(X, y)
+        a = SVC(C=10.0).fit(X, y)
+        b = SVC(C=10.0).fit(X, y)
         Xt = np.random.default_rng(11).normal(size=(40, 3))
         assert np.allclose(a.decision_function(Xt), b.decision_function(Xt))
 
     def test_fits_bit_identical_across_repeated_calls_with_same_seed(self):
-        # random_state is documented as inert: the SMO pair selection is
-        # deterministic, so repeated fits must agree to the last bit, not
-        # merely within tolerance.
+        # The SMO pair selection is deterministic, so repeated fits must
+        # agree to the last bit, not merely within tolerance.
         X, y = _linear_problem(n=150, seed=12, noise=0.05)
         Xt = np.random.default_rng(13).normal(size=(60, 3))
-        a = SVC(C=5.0, kernel="rbf", random_state=7).fit(X, y)
-        b = SVC(C=5.0, kernel="rbf", random_state=7).fit(X, y)
+        a = SVC(C=5.0, kernel="rbf").fit(X, y)
+        b = SVC(C=5.0, kernel="rbf").fit(X, y)
         assert np.array_equal(a.alpha_all_, b.alpha_all_)
         assert a.intercept_ == b.intercept_  # repro: noqa[NUM001] — bit-identity is the property under test
         assert np.array_equal(a.support_vectors_, b.support_vectors_)
         assert a.decision_function(Xt).tobytes() == b.decision_function(Xt).tobytes()
-
-    def test_bit_identical_even_across_different_seeds(self):
-        # The seed is interface-only; it must not perturb the solution.
-        X, y = _linear_problem(n=100, seed=14)
-        a = SVC(C=2.0, random_state=0).fit(X, y)
-        b = SVC(C=2.0, random_state=12345).fit(X, y)
-        assert np.array_equal(a.alpha_all_, b.alpha_all_)
-
-
-class TestRandomStateValidation:
-    def test_accepts_none_int_and_numpy_int(self):
-        assert SVC(random_state=None).random_state is None
-        assert SVC(random_state=3).random_state == 3
-        assert SVC(random_state=np.int64(9)).random_state == 9
-        assert isinstance(SVC(random_state=np.int64(9)).random_state, int)
-
-    @pytest.mark.parametrize("bad", ["7", 1.5, 2.0, (1,), [3], object()])
-    def test_rejects_non_int(self, bad):
-        with pytest.raises(TypeError, match="random_state"):
-            SVC(random_state=bad)
 
 
 class TestGammaFreezing:

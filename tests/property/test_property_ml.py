@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.ml.kernels import LinearKernel, RBFKernel
 from repro.ml.metrics import accuracy_score, confusion_matrix, precision_score, recall_score
-from repro.ml.scaling import MinMaxScaler, StandardScaler
 from repro.ml.validation import KFold
 
 # Bounded to the post-StandardScaler magnitudes the kernels actually see;
@@ -43,22 +42,6 @@ class TestKernelProperties:
         K = LinearKernel()(X, X)
         eigenvalues = np.linalg.eigvalsh(K)
         assert eigenvalues.min() >= -1e-6 * max(1.0, abs(eigenvalues).max())
-
-
-class TestScalerProperties:
-    @given(matrices(min_rows=2))
-    @settings(max_examples=40, deadline=None)
-    def test_standard_scaler_roundtrip(self, X):
-        scaler = StandardScaler().fit(X)
-        back = scaler.inverse_transform(scaler.transform(X))
-        assert np.allclose(back, X, atol=1e-6 * (1 + np.abs(X).max()))
-
-    @given(matrices(min_rows=2))
-    @settings(max_examples=40, deadline=None)
-    def test_minmax_output_in_range(self, X):
-        Z = MinMaxScaler().fit_transform(X)
-        assert Z.min() >= -1e-9
-        assert Z.max() <= 1.0 + 1e-9
 
 
 class TestMetricProperties:

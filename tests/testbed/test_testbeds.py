@@ -32,10 +32,6 @@ class TestWiFiTestbed:
         )
         assert not run.network_acceptable
 
-    def test_too_many_flows_rejected(self, wifi_testbed, rng):
-        with pytest.raises(ValueError):
-            wifi_testbed.run_flows([(WEB, 53.0)] * 11, rng=rng)
-
     def test_low_snr_client_hurts_everyone(self, rng):
         # The Figure 3 effect, at the testbed API level.
         testbed = WiFiTestbed(qos_noise=0.0)
@@ -67,11 +63,6 @@ class TestWiFiTestbed:
 
 
 class TestLTETestbed:
-    def test_eight_devices_with_bearers(self, lte_testbed):
-        assert lte_testbed.max_clients == 8
-        assert lte_testbed.epc.attached_count == 8
-        assert len(lte_testbed.bearers) == 8
-
     def test_light_load_acceptable(self, lte_testbed, rng):
         run = lte_testbed.run_flows([(WEB, 30.0), (CONFERENCING, 30.0)], rng=rng)
         assert run.network_acceptable
@@ -81,10 +72,6 @@ class TestLTETestbed:
             [(WEB, 30.0)] * 5 + [(STREAMING, 30.0)] * 3, rng=rng
         )
         assert not run.network_acceptable
-
-    def test_pgw_counters_advance(self, lte_testbed, rng):
-        lte_testbed.run_flows([(WEB, 30.0)], rng=rng)
-        assert sum(lte_testbed.epc.pgw.bytes_forwarded.values()) > 0
 
     def test_resource_fairness_vs_wifi(self, rng):
         # A low-SNR client on LTE must hurt the others far less than on
@@ -98,6 +85,19 @@ class TestLTETestbed:
         wifi_hit = wifi_mixed.records[0].qoe - wifi_clean.records[0].qoe
         lte_hit = lte_mixed.records[0].qoe - lte_clean.records[0].qoe
         assert lte_hit < wifi_hit
+
+
+@pytest.mark.parametrize(
+    "make, max_clients", [(WiFiTestbed, 10), (LTETestbed, 8)], ids=["wifi", "lte"]
+)
+class TestClientBound:
+    def test_too_many_flows_rejected(self, make, max_clients, rng):
+        # One client per device: 10 WiFi phones, the E-40's 8 UEs.
+        testbed = make()
+        assert testbed.max_clients == max_clients
+        testbed.run_flows([(WEB, 30.0)] * max_clients, rng=rng)
+        with pytest.raises(ValueError):
+            testbed.run_flows([(WEB, 30.0)] * (max_clients + 1), rng=rng)
 
 
 _MIXED = [(WEB, 30.0), (STREAMING, 14.0), (CONFERENCING, 53.0), (STREAMING, 53.0)]
