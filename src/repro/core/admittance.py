@@ -69,6 +69,12 @@ class AdmittanceClassifier:
         Fresh-SVC factory, shared by CV and the online learner.
     replace_repeated:
         The paper's label-replacement rule for repeated matrices.
+    cv_check_every:
+        Bootstrap samples between two cross-validation checks; a forced
+        exit at ``max_bootstrap_samples`` checks regardless.
+    max_buffer:
+        Cap on the online learner's training buffer; the oldest samples
+        are evicted first. None (the paper's rule) keeps every sample.
     guard_margin:
         Admission hysteresis: a flow is admitted only when its SVM
         margin is at least this value. 0 reproduces the paper; positive

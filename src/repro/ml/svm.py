@@ -11,10 +11,10 @@ The dual soft-margin problem solved is::
     s.t. 0 <= a_i <= C,  sum_i a_i y_i = 0
 
 using SMO (Platt 1998) with a full cached Gram matrix, an incrementally
-maintained error cache, the second-choice heuristic of maximizing
-``|E_i - E_j|``, and a libsvm-style shrinking heuristic that drops
-converged bound multipliers out of the working-set scan (with a full-set
-reconvergence check before accepting the solution).
+maintained error cache and second-order working-set selection. Every
+round scans the full multiplier set: libsvm's active-set heuristic pays
+by computing fewer kernel columns, and here the whole Gram is built
+before SMO starts, so it would only shorten a numpy scan.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ from repro.ml.kernels import Kernel, RBFKernel, freeze_kernel, resolve_kernel
 from repro.obs.facade import NULL_OBS, Obs
 
 __all__ = ["SVC", "NotFittedError"]
-
-#: Shrinking never narrows the active set below this many multipliers —
-#: at small sizes the compaction copies cost more than the scan saves.
-_SHRINK_MIN_ACTIVE = 32
-
 
 class NotFittedError(RuntimeError):
     """Raised when predict/decision_function is called before fit."""
@@ -54,13 +49,6 @@ class SVC:
         Duality-gap tolerance for the working-set stopping rule.
     max_iter:
         Hard cap on pair optimizations (safety valve).
-    shrinking:
-        Enable the libsvm-style shrinking heuristic: bound multipliers
-        that stopped violating the KKT conditions are periodically
-        dropped from the working-set scan, and the full set is
-        re-checked (gradient reconstruction) before the solver accepts
-        convergence, so the solution still satisfies the same
-        ``tol``-level optimality conditions as the unshrunken solver.
     obs:
         Observability handle; a recording handle times each fit under
         the ``svm.fit`` span (Section 5.3's training-latency metric) and
@@ -94,7 +82,6 @@ class SVC:
         gamma: Union[float, str] = "scale",
         tol: float = 1e-3,
         max_iter: int = 100000,
-        shrinking: bool = True,
         obs: Optional[Obs] = None,
     ) -> None:
         if C <= 0:
@@ -106,7 +93,6 @@ class SVC:
             self.kernel = resolve_kernel(kernel)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self.shrinking = bool(shrinking)
         self.obs = obs if obs is not None else NULL_OBS
         self._fitted = False
 
@@ -185,7 +171,7 @@ class SVC:
         alpha = np.clip(np.asarray(alpha_init, dtype=float).ravel(), 0.0, self.C)
         if alpha.shape[0] != y.shape[0]:
             raise ValueError("alpha_init length does not match the training set")
-        # Repair the equality constraint by shrinking the heavy side.
+        # Repair the equality constraint by scaling down the heavy side.
         imbalance = float(alpha @ y)
         if abs(imbalance) > 1e-12:
             side = y == np.sign(imbalance)
@@ -210,8 +196,9 @@ class SVC:
         optimality is reached when the maximal-violating pair's gap
         closes below the tolerance.
 
-        ``K`` is the full training Gram matrix; :meth:`_solve` adds the
-        shrinking heuristic on top of the pairwise scan.
+        ``K`` is the full training Gram matrix. One :meth:`_rounds` call
+        runs the whole solve over every multiplier, so a fit that stops
+        as converged meets the Keerthi gap ``< 2 tol`` on the full set.
         """
         n = X.shape[0]
         if alpha0 is None:
@@ -225,7 +212,7 @@ class SVC:
             errors = (alpha * y) @ K - y
         eps = 1e-10
 
-        errors = self._solve(alpha, errors, y, K, eps)
+        self._n_iter, _ = self._rounds(alpha, errors, y, K, self.max_iter, eps)
 
         self._b = self._bias_from_kkt(alpha, errors, y, eps)
         sv = alpha > 1e-8
@@ -235,68 +222,6 @@ class SVC:
         if not sv.any():
             # Optimizer found no boundary; predict the majority class.
             self._b = float(np.sign(y.sum()) or 1.0)
-
-    def _solve(
-        self,
-        alpha: np.ndarray,
-        errors: np.ndarray,
-        y: np.ndarray,
-        K: np.ndarray,
-        eps: float,
-    ) -> np.ndarray:
-        """Drive pair optimizations to convergence, with shrinking.
-
-        Mutates ``alpha`` in place and returns an error cache consistent
-        with the final ``alpha`` over the *full* training set. With
-        shrinking enabled the scan periodically compacts onto the active
-        set — bound multipliers that are safely KKT-satisfied drop out of
-        the maximal-violating-pair search, and the solver works on
-        compact copies of alpha/errors and the active sub-Gram. A
-        solution found on a shrunken set is only accepted after the KKT
-        gap is re-verified over the full set with freshly reconstructed
-        errors; otherwise the solver unshrinks and continues, so the
-        final optimality guarantee is identical to the unshrunken scan.
-        """
-        n = alpha.shape[0]
-        budget = self.max_iter
-        self._n_iter = 0
-        if not (self.shrinking and n > _SHRINK_MIN_ACTIVE):
-            self._n_iter, _ = self._rounds(alpha, errors, y, K, budget, eps)
-            return errors
-
-        period = max(50, min(n, 1000))
-        while budget > 0:
-            idx: Optional[np.ndarray] = None  # None => scanning the full set
-            a, e, yy, Kc = alpha, errors, y, K
-            status = "budget"
-            while budget > 0:
-                used, status = self._rounds(a, e, yy, Kc, min(period, budget), eps)
-                budget -= used
-                self._n_iter += used
-                if status != "budget":
-                    break
-                keep = self._shrink_mask(a, e, yy, eps)
-                n_keep = int(keep.sum())
-                if n_keep < keep.shape[0] and n_keep > _SHRINK_MIN_ACTIVE:
-                    if idx is None:
-                        idx = np.flatnonzero(keep)
-                    else:
-                        alpha[idx] = a
-                        idx = idx[keep]
-                    a = alpha[idx]  # fancy indexing: compact copies
-                    e = e[keep]
-                    yy = y[idx]
-                    Kc = K[np.ix_(idx, idx)]
-            if idx is None:
-                return errors  # never shrank: full state is current
-            alpha[idx] = a
-            errors = self._reconstruct_errors(alpha, y, K, eps)
-            if status != "converged":
-                return errors  # stuck pair or out of budget: accept as-is
-            if self._converged(alpha, errors, y, eps):
-                return errors
-            # Optimal on the shrunken set only — unshrink and continue.
-        return errors
 
     def _rounds(
         self,
@@ -324,9 +249,9 @@ class SVC:
         masked up-set vector in one call; errors are finite, so an
         infinite extreme means the set is empty. Membership only changes
         at the two touched indices, so the penalties are updated in
-        place. ``K`` is fixed for the call, so each ``i``'s row of pair
-        curvatures ``eta`` is computed once and reused (a shrinking
-        compaction starts a new call).
+        place. ``K`` is fixed for the call, which lasts the whole solve,
+        so each ``i``'s row of pair curvatures ``eta`` is computed once
+        and reused.
 
         Returns the rounds consumed and why the scan stopped:
         ``"converged"`` (KKT gap below tolerance, or nothing movable),
@@ -396,60 +321,6 @@ class SVC:
             if not moved:
                 return used + 1, "stuck"
         return max_rounds, "budget"
-
-    def _shrink_mask(
-        self,
-        alpha: np.ndarray,
-        errors: np.ndarray,
-        y: np.ndarray,
-        eps: float,
-    ) -> np.ndarray:
-        """Active-set mask: ``False`` for bound multipliers that are
-        safely KKT-satisfied and can drop out of the working-set scan.
-
-        A multiplier stuck at a bound can move in only one direction; if
-        its error already lies strictly on the non-violating side of the
-        opposite set's extreme, no maximal-violating pair can select it
-        (libsvm's shrinking criterion). Free multipliers never shrink.
-        """
-        pos, neg = y > 0, y < 0
-        at_lo = alpha <= eps
-        at_hi = alpha >= self.C - eps
-        up = (pos & ~at_hi) | (neg & ~at_lo)
-        low = (pos & ~at_lo) | (neg & ~at_hi)
-        m_up = float(errors[up].min()) if up.any() else np.inf
-        M_low = float(errors[low].max()) if low.any() else -np.inf
-        keep = np.ones(alpha.shape[0], dtype=bool)
-        keep[(up & ~low) & (errors > M_low)] = False
-        keep[(low & ~up) & (errors < m_up)] = False
-        return keep
-
-    def _converged(
-        self,
-        alpha: np.ndarray,
-        errors: np.ndarray,
-        y: np.ndarray,
-        eps: float,
-    ) -> bool:
-        """Keerthi KKT-gap test over the full set (the acceptance check
-        after a shrunken solve)."""
-        pos, neg = y > 0, y < 0
-        up = (pos & (alpha < self.C - eps)) | (neg & (alpha > eps))
-        low = (pos & (alpha > eps)) | (neg & (alpha < self.C - eps))
-        if not up.any() or not low.any():
-            return True
-        return float(errors[low].max() - errors[up].min()) < 2.0 * self.tol
-
-    @staticmethod
-    def _reconstruct_errors(
-        alpha: np.ndarray, y: np.ndarray, K: np.ndarray, eps: float
-    ) -> np.ndarray:
-        """Recompute the bias-free error cache ``f_raw - y`` from scratch
-        (entries outside the active set go stale while shrunk)."""
-        sv = alpha > eps
-        if not sv.any():
-            return -y.astype(float)
-        return np.asarray((alpha[sv] * y[sv]) @ K[sv] - y)
 
     def _bias_from_kkt(
         self,

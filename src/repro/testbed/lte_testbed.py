@@ -4,9 +4,12 @@
 8-UE bound is the E-40's software limit; it is ``max_clients`` (one
 client per device), which :meth:`EmulatedTestbed.run_flows` enforces by
 refusing a matrix with more flows. iperf over the real testbed showed
->30 Mbps and 30-40 ms latency, which the default 10 MHz fluid LTE cell
-reproduces. ExBox and the capture/shaping tools live on the PGW, so
-netem profiles apply at the core-network side exactly as in the paper.
+>30 Mbps and 30-40 ms latency. The default fluid LTE cell is 5 MHz
+(``bandwidth_hz=5.0e6``) with a 35 ms base delay: it matches the latency
+but carries at most ≈20.8 Mbps of UDP (``_LTE_CAPACITY_BPS`` in
+:mod:`repro.experiments.figures`). ExBox and the capture/shaping tools
+live on the PGW, so netem profiles apply at the core-network side
+exactly as in the paper.
 """
 
 from __future__ import annotations

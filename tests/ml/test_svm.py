@@ -177,24 +177,10 @@ class TestGammaFreezing:
         assert model._fit_kernel.gamma != pytest.approx(sv_gamma, rel=1e-6)
 
 
-class TestShrinking:
-    def test_shrinking_solution_equivalent(self):
-        # Shrinking is an optimization of the working-set scan, not of
-        # the optimality conditions: both solvers must satisfy the same
-        # KKT gap, agree on every prediction, and produce margins within
-        # the tol-equivalence bound.
-        X, y = _linear_problem(n=500, seed=26, noise=0.1)
-        Xt = np.random.default_rng(27).normal(size=(200, 3))
-        fast = SVC(C=10.0, kernel="rbf", shrinking=True).fit(X, y)
-        slow = SVC(C=10.0, kernel="rbf", shrinking=False).fit(X, y)
-        assert np.array_equal(fast.predict(Xt), slow.predict(Xt))
-        assert np.allclose(
-            fast.decision_function(Xt), slow.decision_function(Xt), atol=0.05
-        )
-
-    def test_shrunken_solution_satisfies_kkt(self):
+class TestOptimality:
+    def test_solution_satisfies_kkt(self):
         X, y = _linear_problem(n=400, seed=28, noise=0.1)
-        model = SVC(C=10.0, kernel="rbf", shrinking=True).fit(X, y)
+        model = SVC(C=10.0, kernel="rbf").fit(X, y)
         alpha, b = model.alpha_all_, model.intercept_
         K = model._fit_kernel(X, X)
         f = (alpha * y) @ K + b
@@ -206,17 +192,10 @@ class TestShrinking:
         assert np.all(margins[alpha <= eps] > 1.0 - 20 * tol)
         assert np.all(margins[alpha >= model.C - eps] < 1.0 + 20 * tol)
 
-    def test_small_problems_unaffected(self):
-        # Below the shrink threshold both paths are literally the same code.
-        X, y = _linear_problem(n=30, seed=29)
-        a = SVC(C=5.0, shrinking=True).fit(X, y)
-        b = SVC(C=5.0, shrinking=False).fit(X, y)
-        assert np.array_equal(a.alpha_all_, b.alpha_all_)
-
-    def test_warm_start_composes_with_shrinking(self):
+    def test_warm_start_keeps_training_accuracy(self):
         X, y = _linear_problem(n=300, seed=30, noise=0.05)
-        cold = SVC(C=10.0, shrinking=True).fit(X, y)
-        warm = SVC(C=10.0, shrinking=True).fit(X, y, alpha_init=cold.alpha_all_)
+        cold = SVC(C=10.0).fit(X, y)
+        warm = SVC(C=10.0).fit(X, y, alpha_init=cold.alpha_all_)
         assert warm.score(X, y) >= cold.score(X, y) - 0.02
 
 

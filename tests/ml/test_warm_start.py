@@ -37,6 +37,17 @@ class TestSvcWarmStart:
         model = SVC(C=10.0).fit(X, y, alpha_init=alpha0)
         assert model.score(X, y) >= 0.85
 
+    def test_unrepairable_init_falls_back_to_cold_start(self):
+        # Duals on positive rows only: the negative side has no mass to
+        # balance them, so the repair gives up and SMO starts cold.
+        X, y = _problem(80, seed=7)
+        alpha0 = np.where(y > 0, 0.5, 0.0)
+        cold = SVC(C=10.0).fit(X, y)
+        warm = SVC(C=10.0).fit(X, y, alpha_init=alpha0)
+        assert np.array_equal(warm.alpha_all_, cold.alpha_all_)
+        assert warm.intercept_ == cold.intercept_
+        assert warm.n_iter_ == cold.n_iter_
+
     def test_clips_out_of_bounds(self):
         X, y = _problem(60, seed=4)
         alpha0 = np.full(60, 1e6)  # way past C
