@@ -11,24 +11,30 @@ import time
 
 import numpy as np
 
-from repro.ml.online import BatchOnlineSVM
+from repro.core.admittance import AdmittanceClassifier
 
 
 def _drive(warm_start: bool, n_samples: int = 600, batch: int = 50):
     rng = np.random.default_rng(45)
-    learner = BatchOnlineSVM(batch_size=batch, warm_start=warm_start)
+    classifier = AdmittanceClassifier(batch_size=batch, warm_start=warm_start)
     retrain_seconds = 0.0
     for _ in range(n_samples):
         x = rng.uniform(-2, 2, size=4)
         y = 1.0 if (x**2).sum() < 5.0 else -1.0
-        learner.add_sample(x, y)
-        if len(learner) % batch == 0:
-            start = time.perf_counter()
-            learner.retrain()
+        if not classifier.is_online:
+            # The first batch is the bootstrap set: going online fits it.
+            classifier.add_sample(x, y)
+            if classifier.n_samples == batch:
+                start = time.perf_counter()
+                classifier.force_online()
+                retrain_seconds += time.perf_counter() - start
+            continue
+        start = time.perf_counter()
+        if classifier.observe_online(x, y):
             retrain_seconds += time.perf_counter() - start
     X = rng.uniform(-2, 2, size=(300, 4))
     y = np.where((X**2).sum(axis=1) < 5.0, 1.0, -1.0)
-    accuracy = float(np.mean(learner.predict(X) == y))
+    accuracy = float(np.mean(classifier.classify_batch(X) == y))
     return retrain_seconds, accuracy
 
 

@@ -103,6 +103,9 @@ class FlowRevalidator:
                 if self.classifier.classify(encode_event(event)) < 0:
                     revoked.append(flow)
                     outcomes.append(self.policy.revoke(flow))
+            # Forget flows absent from this poll (they departed), so the
+            # map never outgrows the active set.
+            self._last_levels = {flow.flow_id: level for flow, level in active_flows}
         self.obs.counter("revalidator.rechecks").inc(checked)
         return RevalidationResult(
             checked=checked, revoked=tuple(revoked), outcomes=tuple(outcomes)

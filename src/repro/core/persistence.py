@@ -45,18 +45,18 @@ def _estimator_state(estimator: QoEEstimator) -> dict:
 
 
 def _classifier_state(classifier: AdmittanceClassifier) -> dict:
-    X, y = classifier._learner.training_set()
+    X, y = classifier.training_set()
     return {
-        "batch_size": classifier._learner.batch_size,
+        "batch_size": classifier.batch_size,
         "cv_threshold": classifier.cv_threshold,
         "cv_folds": classifier.cv_folds,
         "min_bootstrap_samples": classifier.min_bootstrap_samples,
         "max_bootstrap_samples": classifier.max_bootstrap_samples,
         "cv_check_every": classifier.cv_check_every,
         "guard_margin": classifier.guard_margin,
-        "warm_start": classifier._learner.warm_start,
-        "replace_repeated": classifier._learner.replace_repeated,
-        "max_buffer": classifier._learner.max_buffer,
+        "warm_start": classifier.warm_start,
+        "replace_repeated": classifier.replace_repeated,
+        "max_buffer": classifier.max_buffer,
         "random_state": classifier.random_state,
         "phase": classifier.phase.value,
         "bootstrap_samples_used": classifier.bootstrap_samples_used,
@@ -137,12 +137,10 @@ def loads_exbox(text: str) -> ExBox:
         random_state=clf_state["random_state"],
     )
     for x, y in zip(clf_state["X"], clf_state["y"]):
-        classifier._learner.add_sample(x, int(y))
-    classifier._since_cv_check = 0
+        classifier.add_sample(x, int(y))
     classifier.last_cv_accuracy = clf_state["last_cv_accuracy"]
     if clf_state["phase"] == Phase.ONLINE.value:
-        classifier._learner.retrain()
-        classifier._phase = Phase.ONLINE
+        classifier.force_online()
         classifier.bootstrap_samples_used = clf_state["bootstrap_samples_used"]
 
     return ExBox(admittance=classifier, qoe_estimator=estimator, binner=binner)

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.excr import encode_event
 from repro.core.qoe_estimator import QoEEstimator
-from repro.testbed.base import EmulatedTestbed
+from repro.testbed.base import EmulatedTestbed, measure_flows
 from repro.testbed.controller import MatrixRun
 from repro.traffic.arrival import FlowEvent
 from repro.traffic.flows import APP_CLASSES
@@ -137,17 +137,7 @@ def build_simulation_dataset(
     no client-count bound and labels always come through the IQX models,
     exactly as the paper's simulations compute ``Y_m``.
     """
-    from repro.traffic.flows import DEFAULT_PROFILES
-    from repro.wireless.fluid import OfferedFlow
-    from repro.apps.base import app_model_for_class
-    from repro.qoe.thresholds import threshold_for_class
-    from repro.testbed.controller import FlowRecord
-    from repro.wireless.qos import FlowQoS
-
     binner = binner or SnrBinner.single_level()
-    app_models = {
-        cls: (app_model_for_class(cls), threshold_for_class(cls)) for cls in APP_CLASSES
-    }
     samples: List[LabeledSample] = []
     for matrix in matrices:
         specs = _expand_matrix_to_specs(
@@ -155,41 +145,7 @@ def build_simulation_dataset(
         )
         if not specs:
             continue
-        offered = [
-            OfferedFlow(
-                flow_id=i,
-                app_class=cls,
-                demand_bps=DEFAULT_PROFILES[cls].demand_bps,
-                snr_db=snr,
-                elastic=DEFAULT_PROFILES[cls].elastic,
-            )
-            for i, (cls, snr) in enumerate(specs)
-        ]
-        allocation = cell.allocate(offered)
-        records = []
-        for flow in offered:
-            qos = allocation[flow.flow_id]
-            if qos_noise > 0:
-                factor = max(1.0 + float(rng.normal(0.0, qos_noise)), 0.2)
-                qos = FlowQoS(
-                    throughput_bps=qos.throughput_bps * factor,
-                    delay_s=max(qos.delay_s / factor, 1e-4),
-                    loss_rate=qos.loss_rate,
-                )
-            app_model, threshold = app_models[flow.app_class]
-            qoe = app_model.measure_qoe(qos)
-            records.append(
-                FlowRecord(
-                    flow_id=flow.flow_id,
-                    app_class=flow.app_class,
-                    snr_db=flow.snr_db,
-                    snr_level=binner.level_index(flow.snr_db),
-                    qos=qos,
-                    qoe=qoe,
-                    acceptable=threshold.is_acceptable(qoe),
-                )
-            )
-        run = MatrixRun(records=tuple(records))
+        run = measure_flows(specs, cell.allocate, binner, rng, qos_noise)
         label = estimator.label_matrix_run(run)
         sample = _sample_from_run(run, binner, rng, label)
         if sample is not None:

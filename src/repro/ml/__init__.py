@@ -14,14 +14,12 @@ from repro.ml.metrics import (
     recall_score,
 )
 from repro.ml.naive_bayes import GaussianNaiveBayes
-from repro.ml.online import BatchOnlineSVM
 from repro.ml.scaling import StandardScaler
 from repro.ml.svm import SVC
 from repro.ml.tree import DecisionTreeClassifier
 from repro.ml.validation import KFold, cross_val_accuracy
 
 __all__ = [
-    "BatchOnlineSVM",
     "DecisionTreeClassifier",
     "GaussianNaiveBayes",
     "KFold",

@@ -6,7 +6,7 @@ decision trees) could be used by ExBox as well". This module provides
 that alternative — a binary CART tree with Gini splitting — exposing the
 same ``fit``/``predict``/``decision_function``/``score`` interface as
 :class:`repro.ml.svm.SVC`, so it drops straight into
-:class:`~repro.ml.online.BatchOnlineSVM` via ``model_factory``.
+:class:`~repro.core.admittance.AdmittanceClassifier` via ``model_factory``.
 """
 
 from __future__ import annotations

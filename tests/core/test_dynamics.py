@@ -76,6 +76,24 @@ class TestFlowRevalidator:
         result = revalidator.poll([(flow, 0)], n_levels=2, only_changed=True)
         assert result.checked == 1
 
+    def test_level_memory_bounded_by_active_flows(self):
+        # A long-running middlebox polls a churning flow set: departed
+        # flows must not stay in the level memory.
+        clf = _online_classifier()
+        revalidator = FlowRevalidator(clf, AdmittancePolicy())
+        rng = np.random.default_rng(3)
+        active = []
+        for _ in range(200):
+            active.append((_flow(), int(rng.integers(2))))
+            if len(active) > 3:
+                active.pop(int(rng.integers(len(active))))
+            revalidator.poll(active, n_levels=2, only_changed=True)
+            assert len(revalidator._last_levels) <= len(active)
+        # Surviving flows keep their memory: a level move is still caught.
+        flow, level = active[0]
+        result = revalidator.poll([(flow, 1 - level)], n_levels=2, only_changed=True)
+        assert result.checked == 1
+
     def test_matrix_from_flows(self):
         flows = [(_flow(WEB), 0), (_flow(STREAMING), 1), (_flow(WEB), 0)]
         matrix = FlowRevalidator.matrix_from_flows(flows, n_levels=2)

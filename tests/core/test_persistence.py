@@ -76,8 +76,8 @@ class TestRoundtrip:
         restored = loads_exbox(dumps_exbox(box))
         original, loaded = box.admittance, restored.admittance
         assert (
-            (loaded.guard_margin, loaded._learner.warm_start, loaded.cv_check_every)
-            == (original.guard_margin, original._learner.warm_start, original.cv_check_every)
+            (loaded.guard_margin, loaded.warm_start, loaded.cv_check_every)
+            == (original.guard_margin, original.warm_start, original.cv_check_every)
             == (0.5, False, 5)
         )
         testbed = WiFiTestbed()
@@ -117,10 +117,48 @@ class TestRoundtrip:
     def test_bootstrap_phase_snapshot(self, estimator):
         box = ExBox.with_defaults(batch_size=10)
         box.qoe_estimator = estimator
-        box.admittance._learner.add_sample([0.0, 0.0, 0.0, 0.0], 1)
+        box.admittance.add_sample([0.0, 0.0, 0.0, 0.0], 1)
         restored = loads_exbox(dumps_exbox(box))
         assert restored.admittance.phase is Phase.BOOTSTRAP
         assert restored.admittance.n_samples == 1
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    @pytest.mark.parametrize("max_buffer", [None, 25])
+    @pytest.mark.parametrize("replace_repeated", [True, False])
+    def test_buffer_options_roundtrip(self, replace_repeated, max_buffer, warm_start):
+        # The buffer options survive the round trip and keep acting on the
+        # restored buffer: a small grid repeats (and relabels) matrices,
+        # and the cap evicts, both before and after the snapshot.
+        options = dict(
+            replace_repeated=replace_repeated, max_buffer=max_buffer, warm_start=warm_start
+        )
+        box = ExBox.with_defaults(batch_size=10, **options)
+        rng = np.random.default_rng(66)
+
+        def stream(n):
+            for _ in range(n):
+                x = rng.integers(0, 4, size=4).astype(float)
+                yield x, 1 if x.sum() + rng.normal() < 6.0 else -1
+
+        for x, y in stream(20):
+            box.admittance.add_sample(x, y)
+        box.admittance.force_online()
+        for x, y in stream(40):
+            box.admittance.observe_online(x, y)
+        restored = loads_exbox(dumps_exbox(box))
+        original, loaded = box.admittance, restored.admittance
+        for classifier in (original, loaded):
+            assert {name: getattr(classifier, name) for name in options} == options
+        probe = rng.integers(0, 4, size=(30, 4)).astype(float)
+        for _ in range(2):
+            for got, want in zip(loaded.training_set(), original.training_set()):
+                assert np.array_equal(got, want)
+            if not warm_start:
+                # A cold retrain depends on the buffer alone.
+                assert np.array_equal(loaded._margins(probe), original._margins(probe))
+            for x, y in stream(30):
+                original.observe_online(x, y)
+                loaded.observe_online(x, y)
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):

@@ -66,9 +66,9 @@ class TestWarmStartEquivalence:
 
     def test_warm_start_actually_engaged(self):
         scheme = _closed_loop_trace(seed=3, warm_start=True)
-        learner = scheme.classifier._learner
-        assert learner.warm_start
-        assert len(learner._alpha_by_key) > 0
+        classifier = scheme.classifier
+        assert classifier.warm_start
+        assert len(classifier._alpha_by_key) > 0
 
 
 def _sample(matrix_before, cls_idx, y):

@@ -82,16 +82,17 @@ class TestInference:
 
     def test_drop_in_for_svc_in_online_learner(self):
         # The paper's claim: the Admittance Classifier's learner is
-        # modular — a tree must work through BatchOnlineSVM unchanged.
-        from repro.ml.online import BatchOnlineSVM
+        # modular — a tree must work through it unchanged.
+        from repro.core.admittance import AdmittanceClassifier
+        from tests.ml.test_online import _observe
 
-        learner = BatchOnlineSVM(
+        clf = AdmittanceClassifier(
             batch_size=25, model_factory=lambda: DecisionTreeClassifier(max_depth=6)
         )
         rng = np.random.default_rng(6)
         for _ in range(100):
             x = rng.uniform(-1, 1, size=2)
-            learner.observe(x, 1.0 if x[0] > 0 else -1.0)
+            _observe(clf, x, 1.0 if x[0] > 0 else -1.0)
         X = rng.uniform(-1, 1, size=(50, 2))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        assert np.mean(learner.predict(X) == y) >= 0.9
+        assert np.mean(clf.classify_batch(X) == y) >= 0.9

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.online import default_svc_factory
+from repro.core.admittance import default_svc_factory
 from repro.ml.svm import SVC
 from repro.ml.validation import KFold, cross_val_accuracy
 

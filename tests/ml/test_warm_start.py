@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.ml.online import BatchOnlineSVM
+from repro.core.admittance import AdmittanceClassifier
 from repro.ml.svm import SVC
+from tests.ml.test_online import _observe
 
 
 def _problem(n, seed=0):
@@ -70,30 +71,30 @@ class TestSvcWarmStart:
 
 
 class TestOnlineWarmStart:
-    def _feed(self, learner, n, seed):
+    def _feed(self, clf, n, seed):
         rng = np.random.default_rng(seed)
         for _ in range(n):
             x = rng.uniform(-2, 2, size=3)
-            learner.observe(x, 1.0 if (x**2).sum() < 4.0 else -1.0)
+            _observe(clf, x, 1.0 if (x**2).sum() < 4.0 else -1.0)
 
     def test_warm_matches_cold_accuracy(self):
-        cold = BatchOnlineSVM(batch_size=40, warm_start=False)
-        warm = BatchOnlineSVM(batch_size=40, warm_start=True)
+        cold = AdmittanceClassifier(batch_size=40, warm_start=False)
+        warm = AdmittanceClassifier(batch_size=40, warm_start=True)
         self._feed(cold, 240, seed=7)
         self._feed(warm, 240, seed=7)
         Xt, yt = _problem(150, seed=8)
-        acc_cold = np.mean(cold.predict(Xt) == yt)
-        acc_warm = np.mean(warm.predict(Xt) == yt)
+        acc_cold = np.mean(cold.classify_batch(Xt) == yt)
+        acc_warm = np.mean(warm.classify_batch(Xt) == yt)
         assert acc_warm >= acc_cold - 0.05
         assert acc_warm >= 0.85
 
     def test_warm_start_with_tree_factory_is_ignored(self):
         from repro.ml.tree import DecisionTreeClassifier
 
-        learner = BatchOnlineSVM(
+        clf = AdmittanceClassifier(
             batch_size=30,
             warm_start=True,
             model_factory=lambda: DecisionTreeClassifier(max_depth=5),
         )
-        self._feed(learner, 90, seed=9)
-        assert learner.is_trained
+        self._feed(clf, 90, seed=9)
+        assert clf.n_retrains == 3 and clf._alpha_by_key == {}
