@@ -317,15 +317,17 @@ class AdmittanceClassifier:
             self.max_bootstrap_samples is not None
             and n >= self.max_bootstrap_samples
         )
-        due = (
+        checking = (
             n >= self.min_bootstrap_samples
             and self._since_cv_check >= self.cv_check_every
-            and self._both_classes_present()
         )
-        if not due and not forced:
+        if not checking and not forced:
+            return False
+        both_classes = self._both_classes_present()
+        if not both_classes and not forced:
             return False
         self._since_cv_check = 0
-        if self._both_classes_present():
+        if both_classes:
             with self.obs.span("admittance.bootstrap.cv"):
                 self.last_cv_accuracy = self._cv_accuracy()
             self.obs.gauge("admittance.bootstrap.cv_accuracy").set(

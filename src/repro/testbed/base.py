@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import abc
+from array import array
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,10 +27,19 @@ _APP_MODELS = {
     cls: (app_model_for_class(cls), threshold_for_class(cls)) for cls in APP_CLASSES
 }
 
+#: Most noise-free plans one testbed keeps; past it the oldest goes. A
+#: seeded closed-loop episode measures a few hundred distinct matrices.
+_PLAN_MEMO_CAP = 1024
+
+Spec = Tuple[str, float]
 Allocator = Callable[[Sequence[OfferedFlow], Sequence[OfferedFlow]], Dict[int, FlowQoS]]
+#: A matrix's noise-free measurement, packed as doubles: each flow's SNR
+#: level, shaped throughput, delay and loss, in flow order. Packed bytes
+#: hold a plan in 32 bytes a flow, and ``copy.deepcopy`` shares them.
+Plan = bytes
 
 
-def _offered(flow_specs: Sequence[Tuple[str, float]], start_id: int = 0) -> List[OfferedFlow]:
+def _offered(flow_specs: Sequence[Spec], start_id: int = 0) -> List[OfferedFlow]:
     return [
         OfferedFlow(
             flow_id=start_id + i,
@@ -41,14 +52,76 @@ def _offered(flow_specs: Sequence[Tuple[str, float]], start_id: int = 0) -> List
     ]
 
 
+def _plan(
+    flow_specs: Sequence[Spec],
+    allocate: Allocator,
+    binner: SnrBinner,
+    shaper: Optional[Shaper],
+    background_specs: Sequence[Spec],
+) -> Plan:
+    """The noise-free half of a measurement: offer the flows, share the
+    cell, shape each flow's QoS and bin its SNR."""
+    offered = _offered(flow_specs)
+    background = _offered(background_specs, start_id=len(offered))
+    allocation = allocate(offered, background)
+    values = array("d")
+    for flow in offered + background:
+        qos = allocation[flow.flow_id]
+        if shaper is not None:
+            qos = shaper.apply_to_qos(qos)
+        level = binner.level_index(flow.snr_db)
+        values.extend((level, qos.throughput_bps, qos.delay_s, qos.loss_rate))
+    return values.tobytes()
+
+
+def _measure(
+    plan: Plan,
+    flow_specs: Sequence[Spec],
+    background_specs: Sequence[Spec],
+    rng: Optional[np.random.Generator],
+    qos_noise: float,
+) -> MatrixRun:
+    """The noisy half: draw every flow's noise factor in one call (the
+    same values, and the same later stream, as one scalar draw per flow),
+    then score each flow with its app model and class threshold."""
+    values = array("d", plan).tolist()
+    factors = None
+    if rng is not None and qos_noise > 0 and values:
+        draws = rng.normal(0.0, qos_noise, size=len(values) // 4).tolist()
+        factors = [max(1.0 + draw, 0.2) for draw in draws]
+    n_offered = len(flow_specs)
+    records: List[FlowRecord] = []
+    for i, (app_class, snr_db) in enumerate((*flow_specs, *background_specs)):
+        level, throughput, delay, loss = values[4 * i : 4 * i + 4]
+        if factors is not None:
+            throughput *= factors[i]
+            delay = max(delay / factors[i], 1e-4)
+        flow_qos = FlowQoS(throughput_bps=throughput, delay_s=delay, loss_rate=loss)
+        app_model, threshold = _APP_MODELS[app_class]
+        qoe = app_model.measure_qoe(flow_qos)
+        records.append(
+            FlowRecord(
+                flow_id=i,
+                app_class=app_class,
+                snr_db=snr_db,
+                snr_level=int(level),
+                qos=flow_qos,
+                qoe=qoe,
+                acceptable=threshold.is_acceptable(qoe),
+                background=i >= n_offered,
+            )
+        )
+    return MatrixRun(records=tuple(records))
+
+
 def measure_flows(
-    flow_specs: Sequence[Tuple[str, float]],
+    flow_specs: Sequence[Spec],
     allocate: Allocator,
     binner: SnrBinner,
     rng: Optional[np.random.Generator] = None,
     qos_noise: float = 0.0,
     shaper: Optional[Shaper] = None,
-    background_specs: Sequence[Tuple[str, float]] = (),
+    background_specs: Sequence[Spec] = (),
 ) -> MatrixRun:
     """Measure one traffic matrix on a cell.
 
@@ -61,46 +134,22 @@ def measure_flows(
     its app model's QoE and the class threshold. Background flows are
     measured but flagged ``background``.
     """
-    offered = _offered(flow_specs)
-    background = _offered(background_specs, start_id=len(offered))
-    allocation = allocate(offered, background)
-    noise_rng = rng if qos_noise > 0 else None
-
-    records: List[FlowRecord] = []
-    for flow in offered + background:
-        qos = allocation[flow.flow_id]
-        if shaper is not None:
-            qos = shaper.apply_to_qos(qos)
-        if noise_rng is not None:
-            factor = max(1.0 + float(noise_rng.normal(0.0, qos_noise)), 0.2)
-            qos = FlowQoS(
-                throughput_bps=qos.throughput_bps * factor,
-                delay_s=max(qos.delay_s / factor, 1e-4),
-                loss_rate=qos.loss_rate,
-            )
-        app_model, threshold = _APP_MODELS[flow.app_class]
-        qoe = app_model.measure_qoe(qos)
-        records.append(
-            FlowRecord(
-                flow_id=flow.flow_id,
-                app_class=flow.app_class,
-                snr_db=flow.snr_db,
-                snr_level=binner.level_index(flow.snr_db),
-                qos=qos,
-                qoe=qoe,
-                acceptable=threshold.is_acceptable(qoe),
-                background=flow.flow_id >= len(offered),
-            )
-        )
-    return MatrixRun(records=tuple(records))
+    plan = _plan(flow_specs, allocate, binner, shaper, background_specs)
+    return _measure(plan, flow_specs, background_specs, rng, qos_noise)
 
 
 class EmulatedTestbed(abc.ABC):
     """Base class: turn (class, SNR) flow specs into a measured MatrixRun.
 
-    Subclasses provide the radio cell (:meth:`_allocate`) and device
-    population; :func:`measure_flows` handles demand profiles, netem
-    shaping, measurement noise, app-model QoE and labelling.
+    Subclasses provide the radio cell (:meth:`_allocate`, with the
+    parameters it reads in :meth:`_cell_params`) and device population;
+    :func:`measure_flows` handles demand profiles, netem shaping,
+    measurement noise, app-model QoE and labelling.
+
+    The noise-free half of a measurement is a pure function of the
+    ordered flow specs, the background specs, the shaper, the cell
+    parameters and the binner, so :meth:`run_flows` keeps it per matrix
+    and only draws the noise again.
     """
 
     def __init__(
@@ -119,6 +168,8 @@ class EmulatedTestbed(abc.ABC):
         self.binner = binner or SnrBinner.single_level()
         self.shaper = shaper or Shaper()
         self.qos_noise = float(qos_noise)
+        self._plans: Dict[Tuple[object, ...], Plan] = {}
+        self._plan_context: Optional[Tuple[object, ...]] = None
 
     # -- radio model -----------------------------------------------------
     @abc.abstractmethod
@@ -128,6 +179,10 @@ class EmulatedTestbed(abc.ABC):
         background: Sequence[OfferedFlow] = (),
     ) -> Dict[int, FlowQoS]:
         """Run the cell's capacity-sharing model."""
+
+    @abc.abstractmethod
+    def _cell_params(self) -> Tuple[Optional[float], ...]:
+        """The cell parameters :meth:`_allocate` reads besides the shaper."""
 
     @property
     def max_clients(self) -> int:
@@ -144,9 +199,9 @@ class EmulatedTestbed(abc.ABC):
     # -- measurement -----------------------------------------------------
     def run_flows(
         self,
-        flow_specs: Sequence[Tuple[str, float]],
+        flow_specs: Sequence[Spec],
         rng: Optional[np.random.Generator] = None,
-        background_specs: Sequence[Tuple[str, float]] = (),
+        background_specs: Sequence[Spec] = (),
     ) -> MatrixRun:
         """Measure one traffic matrix.
 
@@ -161,12 +216,24 @@ class EmulatedTestbed(abc.ABC):
                 f"{len(flow_specs)} flows exceed the testbed's "
                 f"{self.max_clients} clients"
             )
-        return measure_flows(
-            flow_specs,
-            self._allocate,
-            self.binner,
-            rng,
-            self.qos_noise,
-            self.shaper,
-            background_specs,
+        # A plan is valid for one shaper, cell and binner; a change of
+        # any of them starts the memo afresh.
+        context = (self.shaper, self._cell_params(), self.binner.boundaries_db)
+        if context != self._plan_context:
+            self._plans = {}
+            self._plan_context = context
+        # Flat, so that a plan's key holds no tuple per flow.
+        key = (
+            len(flow_specs),
+            *chain.from_iterable(flow_specs),
+            *chain.from_iterable(background_specs),
         )
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = _plan(
+                flow_specs, self._allocate, self.binner, self.shaper, background_specs
+            )
+            if len(self._plans) >= _PLAN_MEMO_CAP:
+                del self._plans[next(iter(self._plans))]
+            self._plans[key] = plan
+        return _measure(plan, flow_specs, background_specs, rng, self.qos_noise)

@@ -14,7 +14,7 @@ exactly as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.netem.shaping import Shaper
 from repro.testbed.base import EmulatedTestbed
@@ -65,6 +65,9 @@ class LTETestbed(EmulatedTestbed):
         background: Sequence[OfferedFlow] = (),
     ) -> Dict[int, FlowQoS]:
         return self._cell().allocate(offered, background=background)
+
+    def _cell_params(self) -> Tuple[Optional[float], ...]:
+        return (self.bandwidth_hz, self.base_delay_s)
 
     def place_device(self, device_id: int, snr_db: float) -> None:
         """Move a UE to a new position (changes its reported CQI)."""

@@ -10,7 +10,7 @@ for SNR-diversity experiments (Figure 3).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.netem.shaping import Shaper
 from repro.testbed.base import EmulatedTestbed
@@ -55,6 +55,9 @@ class WiFiTestbed(EmulatedTestbed):
         background: Sequence[OfferedFlow] = (),
     ) -> Dict[int, FlowQoS]:
         return self._cell().allocate(offered, background=background)
+
+    def _cell_params(self) -> Tuple[Optional[float], ...]:
+        return (self.capacity_cap_bps, self.base_delay_s)
 
     def place_device(self, device_id: int, snr_db: float) -> None:
         """Move a phone to a new position (e.g. the -80 dBm far spot)."""

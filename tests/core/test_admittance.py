@@ -59,6 +59,34 @@ class TestBootstrapPhase:
         assert done and clf.is_online
         assert clf.n_samples <= 41
 
+    def test_one_label_scan_per_due_check(self):
+        # The class check scans the whole buffer: once per due (or
+        # forced) check, and never on an observation that is not due.
+        rng = np.random.default_rng(2)
+        clf = AdmittanceClassifier(
+            cv_threshold=0.99, min_bootstrap_samples=10, max_bootstrap_samples=40,
+            cv_check_every=5,
+        )
+        scans = []
+        inner = clf._both_classes_present
+
+        def counting():
+            scans.append(clf.n_samples)
+            return inner()
+
+        clf._both_classes_present = counting
+        for i in range(60):
+            x = rng.normal(size=4)
+            y = 1 if i < 12 or rng.random() < 0.5 else -1
+            if clf.observe_bootstrap(x, y):
+                break
+        assert clf.is_online and clf.n_samples == 40
+        assert len(scans) == len(set(scans))
+        # All +1 up to 12: due checks at 10, 11 and 12 find one class
+        # and are not reset; every later check is 5 observations apart.
+        assert scans[:3] == [10, 11, 12]
+        assert min(scans) >= clf.min_bootstrap_samples
+
     def test_force_online(self):
         clf = AdmittanceClassifier(min_bootstrap_samples=5)
         for i, (x, y) in enumerate(_sample_stream(8, seed=3)):
