@@ -170,8 +170,8 @@ def run_closed_loop(
         if active:
             specs = [(APP_CLASSES[f.app_class_index], f.snr_db) for f in active]
             run = testbed.run_flows(specs[: testbed.max_clients], rng=rng)
-            result.carried_flow_minutes += len(run.records)
-            result.ok_flow_minutes += sum(1 for r in run.records if r.acceptable)
+            result.carried_flow_minutes += len(run.acceptable)
+            result.ok_flow_minutes += sum(run.acceptable)
     return result
 
 

@@ -73,17 +73,17 @@ def _sample_from_run(
     label: int,
 ) -> Optional[LabeledSample]:
     """Designate a random flow of the run as the new arrival."""
-    if not run.records:
+    if not run.acceptable:
         return None
-    record = run.records[int(rng.integers(len(run.records)))]
+    flow = int(rng.integers(len(run.acceptable)))
+    level = run.snr_levels[flow]
     counts = list(run.counts(binner.n_levels))
-    cls_idx = APP_CLASSES.index(record.app_class)
-    slot = cls_idx * binner.n_levels + record.snr_level
-    counts[slot] -= 1
+    cls_idx = APP_CLASSES.index(run.app_classes[flow])
+    counts[cls_idx * binner.n_levels + level] -= 1
     event = FlowEvent(
         matrix_before=tuple(counts),
         app_class_index=cls_idx,
-        snr_level=record.snr_level,
+        snr_level=level,
     )
     return LabeledSample(event=event, x=encode_event(event), y=label, run=run)
 

@@ -57,11 +57,11 @@ class SVC:
 
     Fits are pure: the same inputs give the same ``alpha_all_``,
     ``intercept_`` and ``n_iter_``, bit for bit. The SMO inner loop
-    (:meth:`_rounds`, :meth:`_step`) is tuned for few numpy calls per
-    pair round, but performs the same floating-point operations in the
-    same order as the plain loop that ``tests/ml/test_smo_parity.py``
-    keeps as its oracle, so its duals, bias and round count equal the
-    oracle's exactly.
+    (:meth:`_rounds`, with the pair update inline) is tuned for few
+    numpy calls and no allocation per pair round, but performs the same
+    floating-point operations in the same order as the plain loop that
+    ``tests/ml/test_smo_parity.py`` keeps as its oracle, so its duals,
+    bias and round count equal the oracle's exactly.
     """
 
     # Fit products; populated by :meth:`fit` (guarded by ``_fitted``).
@@ -244,14 +244,22 @@ class SVC:
         for the first-order scan.
 
         A round costs a handful of numpy calls on length-n vectors plus
-        Python-float scalar work. Up/low membership is kept as additive
-        penalties (0 inside, ±inf outside), so ``errors + up_pen`` is the
-        masked up-set vector in one call; errors are finite, so an
-        infinite extreme means the set is empty. Membership only changes
-        at the two touched indices, so the penalties are updated in
-        place. ``K`` is fixed for the call, which lasts the whole solve,
-        so each ``i``'s row of pair curvatures ``eta`` is computed once
-        and reused.
+        Python-float scalar work, and allocates nothing: the masked
+        extremes, the gain and the two error-update terms are written
+        with ``out=`` into buffers made once per call, which lasts the
+        whole solve. Up/low membership is kept as additive penalties
+        (0 inside, ±inf outside), so ``errors + up_pen`` is the masked
+        up-set vector; errors are finite, so an infinite extreme means
+        the set is empty. Membership only changes at the two touched
+        indices, so the penalties are updated in place. ``K`` is fixed
+        for the call, so its rows are listed once and each ``i``'s row
+        of pair curvatures ``eta`` is computed once and reused.
+
+        The pair update runs inline on Python floats (the same IEEE
+        doubles as numpy scalars, without their dispatch cost). When it
+        makes no numerical progress (degenerate kernel rows), the same
+        update is tried with the next-most-violating partners of ``i``
+        before the scan gives up.
 
         Returns the rounds consumed and why the scan stopped:
         ``"converged"`` (KKT gap below tolerance, or nothing movable),
@@ -273,11 +281,17 @@ class SVC:
             low_pen[t] = 0.0 if movable_lo else -np.inf
 
         Kdiag = np.ascontiguousarray(K.diagonal())
+        rows = list(K)
         etas: Dict[int, np.ndarray] = {}
+        f_up, f_low, gain, delta_i, delta_j = (np.empty(n) for _ in range(5))
+        zeros = np.zeros(n)  # a scalar 0.0 would be converted on every call
+        add, subtract, multiply, divide, maximum = (
+            np.add, np.subtract, np.multiply, np.divide, np.maximum
+        )
 
         for used in range(max_rounds):
-            f_up = errors + up_pen
-            f_low = errors + low_pen
+            add(errors, up_pen, out=f_up)
+            add(errors, low_pen, out=f_low)
             i = int(f_up.argmin())
             j = int(f_low.argmax())
             Ei = f_up.item(i)
@@ -293,33 +307,56 @@ class SVC:
             # Second-order choice of j: maximal decrease of the dual
             # objective among low-set candidates that violate with i
             # (outside the low set, and for non-violators, the gain is 0).
-            gain = f_low - Ei
-            np.maximum(gain, 0.0, out=gain)
-            gain *= gain
-            gain /= eta_i
+            subtract(f_low, Ei, out=gain)
+            maximum(gain, zeros, out=gain)
+            multiply(gain, gain, out=gain)
+            divide(gain, eta_i, out=gain)
             j2 = int(gain.argmax())
             if gain.item(j2) > 0.0:
                 j = j2
-            if self._step(i, j, alpha, errors, ys, K, eta_i):
-                _refresh(i, alpha.item(i))
-                _refresh(j, alpha.item(j))
-                continue
-            # Numerically stuck pair (degenerate kernel rows): try the
-            # next-most-violating partners before giving up.
-            order = np.argsort(-f_low)
-            moved = False
-            for k in order[: min(10, n)].tolist():
-                if (
-                    k != j
-                    and f_low.item(k) > -np.inf
-                    and self._step(i, k, alpha, errors, ys, K, eta_i)
-                ):
-                    _refresh(i, alpha.item(i))
-                    _refresh(k, alpha.item(k))
-                    moved = True
-                    break
-            if not moved:
-                return used + 1, "stuck"
+
+            # Optimize the pair (i, j) analytically; errors are the
+            # bias-free f_raw - y.
+            ai_old, yi, Ei = alpha.item(i), ys[i], errors.item(i)
+            j_first = j
+            fallback: Optional[List[int]] = None
+            while True:
+                aj_old, yj = alpha.item(j), ys[j]
+                # The box [lo, hi] of aj; a conditional picks what
+                # ``max``/``min`` would, NaN and signed zeros included.
+                if yi != yj:
+                    lo, hi = aj_old - ai_old, C + aj_old - ai_old
+                else:
+                    lo, hi = ai_old + aj_old - C, ai_old + aj_old
+                lo = lo if lo > 0.0 else 0.0
+                hi = hi if hi < C else C
+                eta = eta_i.item(j)
+                if j != i and not (lo >= hi or eta <= 1e-12):
+                    aj_new = aj_old + yj * (Ei - errors.item(j)) / eta
+                    aj_new = lo if lo > aj_new else aj_new
+                    aj_new = hi if hi < aj_new else aj_new
+                    if not abs(aj_new - aj_old) < 1e-7 * (aj_new + aj_old + 1e-7):
+                        break
+                # No progress: try the next-most-violating partners.
+                if fallback is None:
+                    fallback = [
+                        k for k in np.argsort(-f_low)[: min(10, n)].tolist()[::-1]
+                        if k != j_first and f_low.item(k) > -np.inf
+                    ]
+                if not fallback:
+                    return used + 1, "stuck"
+                j = fallback.pop()
+            ai_new = ai_old + yi * yj * (aj_old - aj_new)
+
+            di = yi * (ai_new - ai_old)
+            dj = yj * (aj_new - aj_old)
+            alpha[i], alpha[j] = ai_new, aj_new
+            multiply(rows[i], di, out=delta_i)
+            multiply(rows[j], dj, out=delta_j)
+            add(delta_i, delta_j, out=delta_i)
+            add(errors, delta_i, out=errors)
+            _refresh(i, ai_new)
+            _refresh(j, aj_new)
         return max_rounds, "budget"
 
     def _bias_from_kkt(
@@ -341,51 +378,6 @@ class SVC:
         if up.any() and low.any():
             return float(-0.5 * (errors[up].min() + errors[low].max()))
         return 0.0
-
-    def _step(
-        self,
-        i: int,
-        j: int,
-        alpha: np.ndarray,
-        errors: np.ndarray,
-        y: List[float],
-        K: np.ndarray,
-        eta_i: np.ndarray,
-    ) -> bool:
-        """Optimize one multiplier pair; errors are bias-free f_raw - y.
-
-        ``y`` holds the labels as Python floats and ``eta_i`` is row
-        ``i`` of the pair curvatures ``max(K_ii + K_jj - 2 K_ij, 1e-12)``;
-        the scalar arithmetic runs on Python floats (the same IEEE
-        doubles as numpy scalars, without their dispatch cost)."""
-        if i == j:
-            return False
-        C = self.C
-        ai_old, aj_old = alpha.item(i), alpha.item(j)
-        yi, yj = y[i], y[j]
-        Ei, Ej = errors.item(i), errors.item(j)
-        if yi != yj:
-            lo = max(0.0, aj_old - ai_old)
-            hi = min(C, C + aj_old - ai_old)
-        else:
-            lo = max(0.0, ai_old + aj_old - C)
-            hi = min(C, ai_old + aj_old)
-        if lo >= hi:
-            return False
-        eta = eta_i.item(j)
-        if eta <= 1e-12:
-            return False
-        aj_new = aj_old + yj * (Ei - Ej) / eta
-        aj_new = min(max(aj_new, lo), hi)
-        if abs(aj_new - aj_old) < 1e-7 * (aj_new + aj_old + 1e-7):
-            return False
-        ai_new = ai_old + yi * yj * (aj_old - aj_new)
-
-        di = yi * (ai_new - ai_old)
-        dj = yj * (aj_new - aj_old)
-        alpha[i], alpha[j] = ai_new, aj_new
-        errors += di * K[i] + dj * K[j]
-        return True
 
     # ------------------------------------------------------------------
     # Inference

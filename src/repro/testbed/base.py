@@ -1,9 +1,30 @@
-"""Shared machinery for the emulated WiFi/LTE testbeds."""
+"""Shared machinery for the emulated WiFi/LTE testbeds.
+
+A measurement has a noise-free half and a noisy half. The *plan*
+(:func:`_plan`) offers the flows at their class demand, shares the cell,
+shapes each flow's QoS and bins its SNR; it depends only on the matrix
+and the testbed's state, so :class:`EmulatedTestbed` keeps one per
+matrix. The *measurement* (:func:`_measure`) draws every flow's noise
+factor ``f = max(1 + N(0, qos_noise), 0.2)`` in one call and decides
+each flow's acceptability.
+
+That decision is weakly monotone in ``f``: throughput scales by ``f``,
+delay by ``1/f`` (floored at 1e-4), loss is fixed, and every app model
+and class threshold is monotone in throughput and delay. So a plan also
+keeps, per flow, a bracket ``(lo, hi)`` on ``f``: the largest factor
+scored unacceptable and the smallest scored acceptable. A draw with
+``f >= hi`` is acceptable and one with ``f <= lo`` is not, unscored; only
+a draw strictly inside the bracket is scored with the app model and the
+class threshold, and its verdict tightens the bracket. A run's full
+records (noisy QoS and QoE) are built only when they are read.
+"""
 
 from __future__ import annotations
 
 import abc
+import math
 from array import array
+from functools import partial
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -33,10 +54,12 @@ _PLAN_MEMO_CAP = 1024
 
 Spec = Tuple[str, float]
 Allocator = Callable[[Sequence[OfferedFlow], Sequence[OfferedFlow]], Dict[int, FlowQoS]]
-#: A matrix's noise-free measurement, packed as doubles: each flow's SNR
-#: level, shaped throughput, delay and loss, in flow order. Packed bytes
-#: hold a plan in 32 bytes a flow, and ``copy.deepcopy`` shares them.
-Plan = bytes
+#: A matrix's plan, packed as doubles, :data:`_STRIDE` per flow in flow
+#: order: SNR level, shaped throughput, delay and loss, then the bracket
+#: ``lo``, ``hi`` on the noise factor (``-inf``, ``inf`` until scored).
+#: Only the bracket ever changes.
+Plan = array
+_STRIDE = 6
 
 
 def _offered(flow_specs: Sequence[Spec], start_id: int = 0) -> List[OfferedFlow]:
@@ -70,8 +93,25 @@ def _plan(
         if shaper is not None:
             qos = shaper.apply_to_qos(qos)
         level = binner.level_index(flow.snr_db)
-        values.extend((level, qos.throughput_bps, qos.delay_s, qos.loss_rate))
-    return values.tobytes()
+        values.extend(
+            (level, qos.throughput_bps, qos.delay_s, qos.loss_rate, -math.inf, math.inf)
+        )
+    return values
+
+
+def _flow_qos(plan: Plan, at: int, factor: Optional[float]) -> FlowQoS:
+    """The QoS of the flow at offset ``at`` of ``plan``, scaled by its
+    noise ``factor`` (none without measurement noise)."""
+    throughput, delay = plan[at + 1], plan[at + 2]
+    if factor is not None:
+        throughput *= factor
+        delay = max(delay / factor, 1e-4)
+    return FlowQoS(throughput_bps=throughput, delay_s=delay, loss_rate=plan[at + 3])
+
+
+def _is_acceptable(app_class: str, qos: FlowQoS) -> bool:
+    app_model, threshold = _APP_MODELS[app_class]
+    return threshold.is_acceptable(app_model.measure_qoe(qos))
 
 
 def _measure(
@@ -83,35 +123,70 @@ def _measure(
 ) -> MatrixRun:
     """The noisy half: draw every flow's noise factor in one call (the
     same values, and the same later stream, as one scalar draw per flow),
-    then score each flow with its app model and class threshold."""
-    values = array("d", plan).tolist()
-    factors = None
-    if rng is not None and qos_noise > 0 and values:
-        draws = rng.normal(0.0, qos_noise, size=len(values) // 4).tolist()
+    then decide each flow's acceptability against its bracket, scoring
+    only a draw inside it. Without noise every flow is scored and no
+    bracket moves."""
+    specs = (*flow_specs, *background_specs)
+    factors: Optional[List[float]] = None
+    if rng is not None and qos_noise > 0 and specs:
+        draws = rng.normal(0.0, qos_noise, size=len(specs)).tolist()
         factors = [max(1.0 + draw, 0.2) for draw in draws]
+    acceptable: List[bool] = []
+    for i, (app_class, _) in enumerate(specs):
+        at = _STRIDE * i
+        if factors is None:
+            acceptable.append(_is_acceptable(app_class, _flow_qos(plan, at, None)))
+            continue
+        factor = factors[i]
+        if factor >= plan[at + 5]:
+            acceptable.append(True)
+        elif factor <= plan[at + 4]:
+            acceptable.append(False)
+        else:
+            ok = _is_acceptable(app_class, _flow_qos(plan, at, factor))
+            plan[at + 5 if ok else at + 4] = factor
+            acceptable.append(ok)
     n_offered = len(flow_specs)
+    flags = tuple(acceptable)
+    # Tuples from lists, sized once: a tuple built from a generator is
+    # allocated at 10 and shrunk, which raised the closed loop's peak RSS
+    # by ~2%.
+    return MatrixRun.measured(
+        acceptable=flags,
+        app_classes=tuple([app_class for app_class, _ in specs]),
+        snr_levels=tuple([int(level) for level in plan[::_STRIDE]]),
+        background=(False,) * n_offered + (True,) * (len(specs) - n_offered),
+        build=partial(_records, plan, specs, n_offered, factors, flags),
+    )
+
+
+def _records(
+    plan: Plan,
+    specs: Sequence[Spec],
+    n_offered: int,
+    factors: Optional[List[float]],
+    acceptable: Tuple[bool, ...],
+) -> Tuple[FlowRecord, ...]:
+    """A measured run's full records: each flow's noisy QoS and QoE, with
+    the acceptability its measurement decided. A plan's bracket may have
+    moved since; the QoS fields it reads never do."""
     records: List[FlowRecord] = []
-    for i, (app_class, snr_db) in enumerate((*flow_specs, *background_specs)):
-        level, throughput, delay, loss = values[4 * i : 4 * i + 4]
-        if factors is not None:
-            throughput *= factors[i]
-            delay = max(delay / factors[i], 1e-4)
-        flow_qos = FlowQoS(throughput_bps=throughput, delay_s=delay, loss_rate=loss)
-        app_model, threshold = _APP_MODELS[app_class]
-        qoe = app_model.measure_qoe(flow_qos)
+    for i, (app_class, snr_db) in enumerate(specs):
+        at = _STRIDE * i
+        qos = _flow_qos(plan, at, None if factors is None else factors[i])
         records.append(
             FlowRecord(
                 flow_id=i,
                 app_class=app_class,
                 snr_db=snr_db,
-                snr_level=int(level),
-                qos=flow_qos,
-                qoe=qoe,
-                acceptable=threshold.is_acceptable(qoe),
+                snr_level=int(plan[at]),
+                qos=qos,
+                qoe=_APP_MODELS[app_class][0].measure_qoe(qos),
+                acceptable=acceptable[i],
                 background=i >= n_offered,
             )
         )
-    return MatrixRun(records=tuple(records))
+    return tuple(records)
 
 
 def measure_flows(
@@ -149,7 +224,8 @@ class EmulatedTestbed(abc.ABC):
     The noise-free half of a measurement is a pure function of the
     ordered flow specs, the background specs, the shaper, the cell
     parameters and the binner, so :meth:`run_flows` keeps it per matrix
-    and only draws the noise again.
+    and only draws the noise again; the plan's brackets, tightened by
+    every call, decide most flows of a repeated matrix unscored.
     """
 
     def __init__(

@@ -9,7 +9,7 @@ the run, and collects each app's ground-truth QoE log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,17 +38,75 @@ class FlowRecord:
     background: bool = False
 
 
-@dataclass(frozen=True)
 class MatrixRun:
-    """Result of running one traffic matrix on a testbed."""
+    """Result of running one traffic matrix on a testbed.
 
-    records: Tuple[FlowRecord, ...]
+    Each flow's acceptability, class, SNR level and background flag are
+    kept as tuples in flow order: the label, the matrix counts and the
+    acceptable count read only these. A run measured by a testbed builds
+    its records (:class:`FlowRecord`: noisy QoS and QoE) when
+    :attr:`records` is first read. Equality, hashing and ``repr`` go
+    through the records, so such a run equals one built from the same
+    records.
+    """
+
+    __slots__ = (
+        "acceptable", "app_classes", "snr_levels", "background", "_records", "_build"
+    )
+
+    def __init__(self, records: Tuple[FlowRecord, ...]) -> None:
+        records = tuple(records)
+        self._records: Optional[Tuple[FlowRecord, ...]] = records
+        self._build: Optional[Callable[[], Tuple[FlowRecord, ...]]] = None
+        self.acceptable = tuple(r.acceptable for r in records)
+        self.app_classes = tuple(r.app_class for r in records)
+        self.snr_levels = tuple(r.snr_level for r in records)
+        self.background = tuple(r.background for r in records)
+
+    @classmethod
+    def measured(
+        cls,
+        acceptable: Tuple[bool, ...],
+        app_classes: Tuple[str, ...],
+        snr_levels: Tuple[int, ...],
+        background: Tuple[bool, ...],
+        build: Callable[[], Tuple[FlowRecord, ...]],
+    ) -> "MatrixRun":
+        """A run whose records ``build()`` makes on first read; the
+        per-flow tuples must be those of the records it returns."""
+        run = cls.__new__(cls)
+        run._records = None
+        run._build = build
+        run.acceptable = acceptable
+        run.app_classes = app_classes
+        run.snr_levels = snr_levels
+        run.background = background
+        return run
+
+    @property
+    def records(self) -> Tuple[FlowRecord, ...]:
+        if self._records is None:
+            assert self._build is not None
+            self._records = self._build()
+            self._build = None
+        return self._records
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatrixRun):
+            return NotImplemented
+        return self.records == other.records
+
+    def __hash__(self) -> int:
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        return f"MatrixRun(records={self.records!r})"
 
     @property
     def network_acceptable(self) -> bool:
         """The paper's ground-truth label: every admitted (non-background)
         flow's QoE acceptable."""
-        return all(r.acceptable for r in self.records if not r.background)
+        return all(ok for ok, bg in zip(self.acceptable, self.background) if not bg)
 
     @property
     def label(self) -> int:
@@ -58,11 +116,9 @@ class MatrixRun:
         """The class-major flattened traffic matrix the admitted flows
         form (background flows sit outside the managed matrix)."""
         counts = [0] * (len(APP_CLASSES) * n_levels)
-        for record in self.records:
-            if record.background:
-                continue
-            idx = APP_CLASSES.index(record.app_class) * n_levels + record.snr_level
-            counts[idx] += 1
+        for app_class, level, bg in zip(self.app_classes, self.snr_levels, self.background):
+            if not bg:
+                counts[APP_CLASSES.index(app_class) * n_levels + level] += 1
         return tuple(counts)
 
     def records_for_class(self, app_class: str) -> Tuple[FlowRecord, ...]:
@@ -128,8 +184,7 @@ class ClientController:
 
     def ping_rtt_s(self) -> float:
         """RTT probe to a UE, as the controller logs periodically."""
-        run = self.testbed.run_flows([], rng=self.rng)
-        del run  # an idle network: report the base path latency
+        # An idle network: the base path latency, shaped.
         base = getattr(self.testbed, "base_delay_s", 0.035)
         jitter = float(self.rng.uniform(-0.005, 0.005))
         return max(base + self.testbed.shaper.delay_s + jitter, 1e-4)

@@ -1,8 +1,9 @@
 """Parity of the SMO inner loop with its reference implementation.
 
-``SVC._rounds``/``SVC._step`` are written for few numpy calls per pair
-round: additive set masks, Python-float scalar work and a per-call cache
-of ``eta`` rows. They must perform the same floating-point operations in
+``SVC._rounds`` is written for few numpy calls per pair round and no
+allocation in it: additive set masks, buffers written with ``out=``, an
+inline Python-float pair update and a per-call cache of ``eta`` rows. It
+must perform the same floating-point operations in
 the same order as the straightforward loop kept here as ``_OracleSVC``,
 so every fit's duals, bias and round count are bit-identical to it.
 A fit that stops as converged must also be optimal over the full set:
@@ -24,7 +25,11 @@ from repro.testbed.wifi_testbed import WiFiTestbed
 
 class _OracleSVC(SVC):
     """SVC with the reference SMO inner loop: masks rebuilt through
-    ``np.where``, numpy-scalar arithmetic and no ``eta`` cache."""
+    ``np.where``, numpy-scalar arithmetic, no ``eta`` cache and the pair
+    update in its own ``_step``, which counts the pair steps that fail
+    (each failure sends a round to the fallback scan)."""
+
+    failed_steps = 0
 
     def _rounds(
         self,
@@ -83,6 +88,11 @@ class _OracleSVC(SVC):
         return max_rounds, "budget"
 
     def _step(self, i, j, alpha, errors, y, K) -> bool:
+        moved = self._pair(i, j, alpha, errors, y, K)
+        self.failed_steps += not moved
+        return moved
+
+    def _pair(self, i, j, alpha, errors, y, K) -> bool:
         if i == j:
             return False
         ai_old, aj_old = alpha[i], alpha[j]
@@ -113,22 +123,15 @@ class _OracleSVC(SVC):
 
 
 class _StatusSVC(SVC):
-    """SVC that records why each ``_rounds`` call stopped and how many
-    pair steps failed (each failure sends a round to the fallback scan)."""
+    """SVC that records why each ``_rounds`` call stopped."""
 
     def _rounds(self, *args, **kwargs) -> Tuple[int, str]:
         used, status = super()._rounds(*args, **kwargs)
         self.statuses.append(status)
         return used, status
 
-    def _step(self, *args, **kwargs) -> bool:
-        moved = super()._step(*args, **kwargs)
-        self.failed_steps += not moved
-        return moved
-
     def fit(self, *args, **kwargs) -> "SVC":
         self.statuses: List[str] = []
-        self.failed_steps = 0
         return super().fit(*args, **kwargs)
 
 
@@ -223,12 +226,13 @@ def test_fit_matches_oracle(n, d, seed, warm, max_iter, duplicates, C, kernel):
 )
 def test_solver_paths_match_oracle(n, duplicates, seed, max_iter, status):
     """Each stopping path of ``_rounds`` is reached and stays identical;
-    duplicated rows with opposite labels drive the fallback scan."""
+    duplicated rows with opposite labels drive the fallback scan (the
+    oracle, identical round for round, counts its failed pair steps)."""
     X, y = _problem(n, 3, seed, duplicates)
     params = dict(C=1000.0, kernel="rbf", max_iter=max_iter)
     fast, oracle = _fit_pair(params, X, y, None)
     assert fast.statuses == [status]
-    assert (fast.failed_steps > 0) == (duplicates > 0)
+    assert (oracle.failed_steps > 0) == (duplicates > 0)
     _assert_identical(fast, oracle)
 
 

@@ -84,3 +84,22 @@ class TestClientController:
         wifi_testbed.set_shaper(Shaper(delay_s=0.2))
         shaped = controller.ping_rtt_s()
         assert shaped > base + 0.15
+
+    def test_ping_measures_nothing(self, wifi_testbed):
+        # A ping reads the base latency, the shaper's delay and one jitter
+        # draw. It used to measure an empty matrix first, which draws no
+        # noise: the values pinned here are the ones those pings gave.
+        from repro.netem.shaping import Shaper
+
+        controller = ClientController(wifi_testbed, rng=np.random.default_rng(7))
+        pings = [controller.ping_rtt_s() for _ in range(3)]
+        wifi_testbed.set_shaper(Shaper(delay_s=0.1))
+        pings += [controller.ping_rtt_s() for _ in range(2)]
+        assert wifi_testbed._plans == {}
+        controller.run_traffic_matrix((1, 1, 1))
+        pings.append(controller.ping_rtt_s())
+        assert len(wifi_testbed._plans) == 1
+        assert pings == [
+            0.03625095466604667, 0.03897213800969576, 0.03775685690245194,
+            0.13225207189990593, 0.13300166284911227, 0.13504548258957955,
+        ]

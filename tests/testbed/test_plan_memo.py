@@ -2,17 +2,23 @@
 
 ``EmulatedTestbed.run_flows`` keeps each matrix's noise-free plan
 (allocation, shaping, SNR levels) per instance and draws a matrix's
-noise in one ``rng.normal(..., size=n)`` call. It must return the same
-``MatrixRun`` and leave the generator in the same state as the
-straightforward per-flow loop kept here as ``_oracle_measure_flows``:
-one scalar noise draw per flow, everything rebuilt on every call.
+noise in one ``rng.normal(..., size=n)`` call. Each plan also keeps a
+per-flow bracket on the noise factor, so a flow is scored with its app
+model only when its draw falls inside the bracket, and a run builds its
+records only when they are read. It must return the same ``MatrixRun``
+and leave the generator in the same state as the straightforward
+per-flow loop kept here as ``_oracle_measure_flows``: one scalar noise
+draw per flow, every flow scored, everything rebuilt on every call.
 """
 
+import copy
+import pickle
+import struct
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.base import app_model_for_class
@@ -118,6 +124,35 @@ def _recorded(testbed, oracle: bool) -> List[MatrixRun]:
     return runs
 
 
+@pytest.fixture
+def scorings(monkeypatch):
+    """App-model scorings by the testbeds, counted per call."""
+    calls = []
+    for app_class, (model, threshold) in list(base._APP_MODELS.items()):
+
+        class Counting:
+            def measure_qoe(self, qos, model=model):
+                calls.append(model.app_class)
+                return model.measure_qoe(qos)
+
+        monkeypatch.setitem(base._APP_MODELS, app_class, (Counting(), threshold))
+    return calls
+
+
+def _counting_flows(testbed) -> List[int]:
+    """Route ``testbed.run_flows`` through a wrapper that records how
+    many flows each call measures."""
+    flows: List[int] = []
+    measure = testbed.run_flows
+
+    def counting(flow_specs, rng=None, background_specs=()):
+        flows.append(len(flow_specs) + len(background_specs))
+        return measure(flow_specs, rng=rng, background_specs=background_specs)
+
+    testbed.run_flows = counting
+    return flows
+
+
 class TestOracleParity:
     def test_simulation_dataset_with_mixed_snr(self, estimator, monkeypatch):
         # Mixed SNR: the spec draws and the noise draws share one stream.
@@ -151,11 +186,27 @@ class TestOracleParity:
                 max_total=testbed.max_clients,
             )
             samples = build_testbed_dataset(testbed, matrices, rng)
-            return runs, [s.y for s in samples], rng.bit_generator.state
+            rows = [(s.event, s.x.tobytes(), s.y) for s in samples]
+            return rows, rng.bit_generator.state, runs
 
         ours, theirs = build(oracle=False), build(oracle=True)
         assert len(ours[0]) >= 150
-        assert ours == theirs
+        assert ours[:2] == theirs[:2]  # samples and RNG state, records unread
+        assert ours[2] == theirs[2]
+
+    def test_bootstrap_scores_each_flow_at_most_once(self, scorings):
+        # Labels, counts and the designated arrival read the per-flow
+        # tuples; no record is built, so no flow is scored twice.
+        testbed = WiFiTestbed()
+        flows = _counting_flows(testbed)
+        rng = np.random.default_rng(18)
+        matrices = random_matrix_sequence(
+            160, max_per_class=testbed.max_clients, rng=rng,
+            max_total=testbed.max_clients,
+        )
+        samples = build_testbed_dataset(testbed, matrices, rng)
+        assert len(samples) >= 150
+        assert 0 < len(scorings) < sum(flows)
 
     def test_seeded_closed_loop(self):
         def episode(oracle):
@@ -315,3 +366,211 @@ class TestDegenerate:
         assert calls == []
         assert WiFiTestbed(qos_noise=0.0).run_flows(specs) == first
         assert calls
+
+
+class TestWorkCount:
+    def test_seeded_closed_loop_scorings(self, scorings):
+        # The seeded episode, bootstrap included: every flow measured
+        # used to be scored (7874 of 7874); the brackets leave 3461.
+        testbed = WiFiTestbed()
+        flows = _counting_flows(testbed)
+        result = run_closed_loop(
+            ExBoxScheme(batch_size=20, cv_jobs=1), testbed, seed=17,
+            duration_min=250, arrivals_per_min=4.0,
+        )
+        assert (result.admitted, result.rejected) == (244, 728)
+        assert sum(flows) == 7874
+        assert len(scorings) == 3461
+
+
+class TestLazyRecords:
+    def test_records_read_after_brackets_tighten(self, scorings):
+        # Runs of two repeating matrices, none read until the end: every
+        # later call tightens the brackets of the same two plans.
+        matrices = [
+            [(STREAMING, 53.0)] * 3 + [(CONFERENCING, 23.0)] * 2 + [(WEB, 14.0)],
+            [(WEB, 53.0)] * 4 + [(STREAMING, 30.0)] * 2,
+        ] * 60
+        testbed, reference = WiFiTestbed(qos_noise=0.3), WiFiTestbed(qos_noise=0.3)
+        ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
+        runs = [testbed.run_flows(specs, rng=ours) for specs in matrices]
+        scored = len(scorings)
+        assert all(run._records is None for run in runs)
+        want = [_oracle_run_flows(reference, specs, theirs) for specs in matrices]
+        assert runs == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        # Some flows flip between runs, and the brackets decided most
+        # flows unscored.
+        flips = {tuple(run.acceptable) for run in runs}
+        assert len(flips) > 4
+        assert scored < 0.5 * sum(len(specs) for specs in matrices)
+
+    def test_matrix_run_equality(self):
+        specs = [(STREAMING, 30.0)] * 3 + [(CONFERENCING, 14.0)]
+        testbed = WiFiTestbed(qos_noise=0.3)
+        background = [(WEB, 53.0)]
+
+        def lazy(seed):
+            return testbed.run_flows(
+                specs, rng=np.random.default_rng(seed), background_specs=background
+            )
+
+        eager = _oracle_run_flows(
+            WiFiTestbed(qos_noise=0.3), specs, np.random.default_rng(4), background
+        )
+        assert lazy(4) == eager and eager == lazy(4)
+        assert hash(lazy(4)) == hash(eager)
+        assert repr(lazy(4)) == repr(eager)
+        run = lazy(4)
+        assert (run.acceptable, run.app_classes, run.snr_levels, run.background) == (
+            eager.acceptable, eager.app_classes, eager.snr_levels, eager.background
+        )
+        assert run.background == (False,) * 4 + (True,)
+        assert (run.label, run.counts(1)) == (eager.label, eager.counts(1))
+        assert pickle.loads(pickle.dumps(lazy(4))) == eager
+        assert copy.deepcopy(lazy(4)) == eager
+        assert lazy(5) != eager
+        assert lazy(4) != eager.records
+
+
+def _noisy(app_class: str, throughput: float, delay: float, loss: float, factor: float):
+    """The reference's noisy QoS for one flow, its QoE and its verdict."""
+    qos = FlowQoS(
+        throughput_bps=throughput * factor,
+        delay_s=max(delay / factor, 1e-4),
+        loss_rate=loss,
+    )
+    qoe = app_model_for_class(app_class).measure_qoe(qos)
+    return qoe, threshold_for_class(app_class).is_acceptable(qoe)
+
+
+class TestBracketInvariant:
+    """A draw at or above a factor scored acceptable is acceptable, and
+    one at or below a factor scored unacceptable is not."""
+
+    @given(
+        app_class=st.sampled_from(APP_CLASSES),
+        throughput=st.one_of(
+            st.just(0.0), st.floats(1.0, 2e5), st.floats(2e5, 1e8),
+        ),
+        delay=st.one_of(st.floats(1e-7, 5e-4), st.floats(5e-4, 3.0)),
+        loss=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.47, 0.48)),
+        f1=st.floats(0.2, 6.0),
+        f2=st.floats(0.2, 6.0),
+    )
+    # Each model's clamps: the 1e-4 delay floor, the 30 s caps, the
+    # streaming goodput floor, the conferencing rate-ratio floor and
+    # PSNR ceiling, and zero throughput.
+    @example(app_class=WEB, throughput=2e7, delay=2e-4, loss=0.0, f1=1.0, f2=4.0)
+    @example(app_class=WEB, throughput=2e5, delay=0.5, loss=0.3, f1=0.2, f2=0.21)
+    @example(app_class=STREAMING, throughput=3e7, delay=0.03, loss=0.6, f1=0.5, f2=2.0)
+    @example(app_class=STREAMING, throughput=1e5, delay=1e-5, loss=0.0, f1=0.2, f2=5.0)
+    @example(app_class=CONFERENCING, throughput=1e3, delay=0.03, loss=0.0, f1=0.2, f2=1.0)
+    @example(app_class=CONFERENCING, throughput=5e6, delay=0.01, loss=0.0, f1=1.0, f2=3.0)
+    @example(app_class=CONFERENCING, throughput=2e6, delay=4e-4, loss=0.1, f1=0.9, f2=1.1)
+    @example(app_class=CONFERENCING, throughput=0.0, delay=0.2, loss=0.0, f1=0.2, f2=6.0)
+    @settings(max_examples=400, deadline=None)
+    def test_acceptability_is_monotone_in_the_noise_factor(
+        self, app_class, throughput, delay, loss, f1, f2
+    ):
+        f1, f2 = sorted((f1, f2))
+        assume(f1 < f2)
+        qoe1, ok1 = _noisy(app_class, throughput, delay, loss, f1)
+        qoe2, ok2 = _noisy(app_class, throughput, delay, loss, f2)
+        if app_model_for_class(app_class).higher_is_better:
+            assert qoe2 >= qoe1
+        else:
+            assert qoe2 <= qoe1
+        assert ok2 or not ok1
+
+    def test_dense_grid_around_each_cutoff(self):
+        # Real plans near capacity, shaped and unshaped, on both cells.
+        cases = []
+        rng = np.random.default_rng(30)
+        for make, shaper in [
+            (WiFiTestbed, None), (LTETestbed, None),
+            (WiFiTestbed, Shaper(rate_bps=8e6, delay_s=0.05, loss_rate=0.02)),
+        ]:
+            for matrix in random_matrix_sequence(12, max_per_class=8, rng=rng, max_total=8):
+                specs = [
+                    (APP_CLASSES[cls_idx], [53.0, 23.0, 14.0][k % 3])
+                    for cls_idx, count in enumerate(matrix)
+                    for k in range(count)
+                ]
+                if specs:
+                    cases.append((make, shaper, specs))
+        with_cutoff = 0
+        for make, shaper, specs in cases:
+            testbed = make(shaper=shaper)
+            clean = _oracle_run_flows(make(shaper=shaper, qos_noise=0.0), specs)
+            grids = []
+            for record in clean.records:
+                q = record.qos
+                cutoff = _cutoff(record.app_class, q.throughput_bps, q.delay_s, q.loss_rate)
+                with_cutoff += cutoff is not None
+                grids.append(_grid(cutoff, rng))
+            for k in range(max(len(grid) for grid in grids)):
+                draws = [grid[k % len(grid)] - 1.0 for grid in grids]
+                run = testbed.run_flows(specs, rng=_FixedDraws(draws))
+                want = tuple(
+                    _noisy(
+                        r.app_class, r.qos.throughput_bps, r.qos.delay_s,
+                        r.qos.loss_rate, max(1.0 + draw, 0.2),
+                    )[1]
+                    for r, draw in zip(clean.records, draws)
+                )
+                assert run.acceptable == want
+        assert with_cutoff >= 100
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _cutoff(app_class, throughput, delay, loss) -> Optional[float]:
+    """The smallest noise factor in [0.2, 50] at which the flow is
+    acceptable, by bisection over the ordered doubles; None where the
+    verdict does not change in that range."""
+    lo, hi = _bits(0.2), _bits(50.0)
+    if _noisy(app_class, throughput, delay, loss, 0.2)[1]:
+        return None
+    if not _noisy(app_class, throughput, delay, loss, 50.0)[1]:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _noisy(app_class, throughput, delay, loss, _float(mid))[1]:
+            hi = mid
+        else:
+            lo = mid
+    return _float(hi)
+
+
+def _grid(cutoff: Optional[float], rng: np.random.Generator) -> List[float]:
+    """Noise factors at and around ``cutoff`` (adjacent doubles, then
+    relative steps out to 10%), shuffled; random factors without one."""
+    if cutoff is None:
+        return list(rng.uniform(0.2, 3.0, size=8))
+    near = [cutoff]
+    down = up = cutoff
+    for _ in range(4):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+        near += [float(down), float(up)]
+    for step in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1):
+        near += [cutoff * (1.0 - step), cutoff * (1.0 + step)]
+    grid = [f for f in near if f >= 0.2]
+    return [grid[i] for i in rng.permutation(len(grid))]
+
+
+class _FixedDraws:
+    """A stand-in generator whose ``normal`` returns the given draws."""
+
+    def __init__(self, draws: List[float]) -> None:
+        self.draws = draws
+
+    def normal(self, loc, scale, size):
+        assert size == len(self.draws)
+        return np.array(self.draws)
