@@ -3,7 +3,8 @@
 A full reproduction of Chakraborty et al., ACM CoNEXT 2016. The package
 implements the paper's contribution (the ExCR-learning middlebox) plus
 every substrate its evaluation depends on: an SVM trained from scratch,
-a discrete-event wireless simulator with WiFi/LTE models, synthetic
+fluid WiFi/LTE cell models checked against a packet-level discrete-event
+reference, synthetic
 application traffic and LiveLab-style workloads, IQX-based QoE
 estimation, emulated WiFi/LTE testbeds, and the complete experiment
 harness regenerating each figure of the paper.

@@ -1,9 +1,10 @@
 """Discrete-event simulation substrate.
 
-Stands in for the ns-3 simulator the paper used for its scale-up study:
-a minimal but fully featured event-driven kernel (calendar queue, timers,
-generator-based processes) on which the packet-level WiFi and LTE models
-in :mod:`repro.wireless` run.
+A minimal event-driven kernel (time-ordered queue, generator-based
+processes) on which the packet-level WiFi and LTE cells in
+:mod:`repro.wireless` run. Those cells are the fluid model's test
+reference only; no label, figure or benchmark workload imports this
+package. Also holds the seeded RNG streams.
 """
 
 from repro.simulation.engine import Event, Process, Simulator

@@ -4,7 +4,7 @@ The kernel provides:
 
 - :class:`Simulator` — a time-ordered event queue with deterministic
   FIFO tie-breaking for simultaneous events,
-- :class:`Event` — a cancellable scheduled callback,
+- :class:`Event` — a scheduled callback,
 - :class:`Process` — a generator-based coroutine that yields delays
   (floats) to sleep for simulated time, in the style of simpy.
 
@@ -19,8 +19,6 @@ import heapq
 import itertools
 from typing import Callable, Generator, Optional
 
-from repro.obs.facade import NULL_OBS, Obs
-
 __all__ = ["Event", "Process", "Simulator", "SimulationError"]
 
 
@@ -34,34 +32,24 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback; cancel() makes it a no-op when dispatched."""
+    """A callback scheduled at simulated ``time``."""
 
-    __slots__ = ("time", "callback", "cancelled", "_seq")
+    __slots__ = ("time", "callback", "_seq")
 
     def __init__(self, time: float, callback: Callable[[], None], seq: int) -> None:
         self.time = time
         self.callback = callback
-        self.cancelled = False
         self._seq = seq
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self._seq) < (other.time, other._seq)
 
 
 class Simulator:
-    """Calendar-queue discrete event simulator.
+    """Calendar-queue discrete event simulator."""
 
-    ``obs`` (optional) counts dispatched events and times each ``run()``
-    under the ``sim.run`` span; the inert default costs one no-op call
-    per event and changes nothing.
-    """
-
-    def __init__(self, obs: Optional[Obs] = None) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
-        self.obs = obs if obs is not None else NULL_OBS
         self._queue: list[Event] = []
         self._counter = itertools.count()
         self._running = False
@@ -75,105 +63,69 @@ class Simulator:
         heapq.heappush(self._queue, event)
         return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute simulated ``time``."""
-        return self.schedule(time - self.now, callback)
-
     def spawn(self, generator: Generator[float, None, None]) -> "Process":
         """Launch a generator-based process (see :class:`Process`)."""
         return Process(self, generator)
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None when the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
         return self._queue[0].time if self._queue else None
 
     def step(self) -> bool:
         """Dispatch one event. Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            self.events_dispatched += 1
-            self.obs.counter("sim.events.dispatched").inc()
-            try:
-                event.callback()
-            except SimulationError:
-                raise
-            except BaseException as exc:
-                raise SimulationError(self.now, exc) from exc
-            return True
-        return False
+        if not self._queue:
+            return False
+        event = heapq.heappop(self._queue)
+        self.now = event.time
+        self.events_dispatched += 1
+        try:
+            event.callback()
+        except SimulationError:
+            raise
+        except BaseException as exc:
+            raise SimulationError(self.now, exc) from exc
+        return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or the event cap.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the queue drains or ``until`` is reached.
 
         Returns the simulated time at which the run stopped.
         """
         if self._running:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
-        dispatched = 0
         try:
-            with self.obs.span("sim.run"):
-                while True:
-                    next_time = self.peek()
-                    if next_time is None:
-                        break
-                    if until is not None and next_time > until:
-                        self.now = until
-                        break
-                    if max_events is not None and dispatched >= max_events:
-                        break
-                    self.step()
-                    dispatched += 1
+            while True:
+                next_time = self.peek()
+                if next_time is None:
+                    break
+                if until is not None and next_time > until:
+                    self.now = until
+                    break
+                self.step()
         finally:
             self._running = False
-            self.obs.gauge("sim.time").set(self.now)
-            self.obs.gauge("sim.queue.depth").set(len(self._queue))
         return self.now
 
 
 class Process:
     """Generator-based coroutine: ``yield <seconds>`` sleeps simulated time.
 
-    The generator may finish normally or be stopped with :meth:`interrupt`.
+    The process ends when its generator returns.
     """
 
     def __init__(self, sim: Simulator, generator: Generator[float, None, None]) -> None:
         self._sim = sim
         self._gen = generator
-        self._alive = True
-        self._pending: Optional[Event] = None
         # Kick off on the current tick, not synchronously, so spawn order
         # within one callback does not matter.
-        self._pending = sim.schedule(0.0, self._advance)
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    def interrupt(self) -> None:
-        """Stop the process; its generator is closed."""
-        if not self._alive:
-            return
-        self._alive = False
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-        self._gen.close()
+        sim.schedule(0.0, self._advance)
 
     def _advance(self) -> None:
-        if not self._alive:
-            return
-        self._pending = None
         try:
             delay = next(self._gen)
         except StopIteration:
-            self._alive = False
             return
         if delay is None or delay < 0:
             raise ValueError(f"process yielded invalid delay {delay!r}")
-        self._pending = self._sim.schedule(float(delay), self._advance)
+        self._sim.schedule(float(delay), self._advance)

@@ -1,13 +1,15 @@
 """Wireless PHY/MAC substrate.
 
-Provides the two levels of network model used by the reproduction:
+The fluid capacity-sharing cells (:mod:`repro.wireless.fluid`) compute
+per-flow QoS for a whole traffic matrix in closed form, fast enough for
+the paper's thousands-of-matrices parameter sweeps; every label, figure
+and benchmark number comes from them.
 
-- packet-level models (:mod:`repro.wireless.wifi`,
-  :mod:`repro.wireless.lte`) running on the discrete-event engine, which
-  stand in for ns-3 in small scenes and validate the fluid model;
-- a fluid capacity-sharing model (:mod:`repro.wireless.fluid`) that
-  computes per-flow QoS for a whole traffic matrix in closed form, fast
-  enough for the paper's thousands-of-matrices parameter sweeps.
+The packet-level cells (:mod:`repro.wireless.wifi`,
+:mod:`repro.wireless.lte`) and the slotted DCF model
+(:mod:`repro.wireless.dcf`) are the fluid cells' test reference only:
+they run on the discrete-event engine in :mod:`repro.simulation`, are not
+re-exported here, and no production path imports them.
 """
 
 from repro.wireless.channel import (
@@ -17,10 +19,7 @@ from repro.wireless.channel import (
     log_distance_snr_db,
 )
 from repro.wireless.fluid import FluidLTECell, FluidWiFiCell, OfferedFlow
-from repro.wireless.dcf import DcfParameters, DcfResult, simulate_dcf
 from repro.wireless.mobility import CellGeometry, RandomWaypoint, TwoZoneHopper
-from repro.wireless.replay import replay_traces_lte, replay_traces_wifi
-from repro.wireless.wifi_uplink import UplinkStation, WifiUplinkCell
 from repro.wireless.phy import (
     LTE_CQI_TABLE,
     WIFI_MCS_TABLE,
@@ -32,8 +31,6 @@ from repro.wireless.qos import FlowQoS
 
 __all__ = [
     "CellGeometry",
-    "DcfParameters",
-    "DcfResult",
     "FlowQoS",
     "FluidLTECell",
     "FluidWiFiCell",
@@ -43,15 +40,10 @@ __all__ = [
     "SnrBinner",
     "SnrLevel",
     "TwoZoneHopper",
-    "UplinkStation",
     "WIFI_MCS_TABLE",
-    "WifiUplinkCell",
     "friis_snr_db",
     "log_distance_snr_db",
     "lte_cqi_for_snr",
     "lte_efficiency_for_cqi",
-    "replay_traces_lte",
-    "replay_traces_wifi",
-    "simulate_dcf",
     "wifi_rate_for_snr",
 ]

@@ -1,19 +1,12 @@
 """Packet-level LTE eNodeB model on the discrete-event engine.
 
 Models the downlink of one LTE cell: per-UE FIFO radio bearers and a
-subframe (1 ms) scheduler that grants the whole carrier to one backlogged
-UE per subframe. Three scheduling disciplines are provided:
-
-- ``"rr"`` (default) — round-robin: equal *time* share, so a UE's
-  throughput is proportional to its own CQI-determined rate. This is the
-  resource-fair behaviour that distinguishes LTE from WiFi's
-  transmission-opportunity fairness (and why the paper's
-  admission-control results are cleaner on LTE);
-- ``"maxcqi"`` — grant the best-channel UE: maximizes cell throughput
-  but starves low-CQI users;
-- ``"pf"`` — proportional fair: grant the UE with the largest
-  instantaneous-rate / smoothed-throughput ratio, trading a little cell
-  throughput for much better tail fairness.
+subframe (1 ms) round-robin scheduler that grants the whole carrier to
+one backlogged UE per subframe. Round-robin gives each UE an equal *time*
+share, so its throughput is proportional to its own CQI-determined rate.
+This is the resource-fair behaviour that distinguishes LTE from WiFi's
+transmission-opportunity fairness (and why the paper's admission-control
+results are cleaner on LTE).
 """
 
 from __future__ import annotations
@@ -47,7 +40,6 @@ class _Bearer:
     packets: Deque[Tuple[float, int]] = field(default_factory=deque)
     residual_bits: int = 0  # bits of head packet already sent
     acc: Optional[QosAccumulator] = None
-    avg_rate_bps: float = 1.0  # PF's exponentially smoothed throughput
 
 
 class LteCell:
@@ -65,13 +57,7 @@ class LteCell:
         Core-network + backhaul latency added to every delivery.
     queue_limit:
         Per-bearer queue depth in packets.
-    scheduler:
-        ``"rr"``, ``"maxcqi"`` or ``"pf"`` (see module docstring).
-    pf_window:
-        PF's smoothing horizon in subframes (the classic t_c).
     """
-
-    SCHEDULERS = ("rr", "maxcqi", "pf")
 
     def __init__(
         self,
@@ -80,22 +66,12 @@ class LteCell:
         control_overhead: float = 0.25,
         base_delay_s: float = 0.035,
         queue_limit: int = 300,
-        scheduler: str = "rr",
-        pf_window: float = 100.0,
     ) -> None:
-        if scheduler not in self.SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {self.SCHEDULERS}, got {scheduler!r}"
-            )
-        if pf_window <= 1:
-            raise ValueError("pf_window must exceed 1 subframe")
         self.sim = sim
         self.bandwidth_hz = bandwidth_hz
         self.control_overhead = control_overhead
         self.base_delay_s = base_delay_s
         self.queue_limit = queue_limit
-        self.scheduler = scheduler
-        self.pf_window = float(pf_window)
         self._bearers: Dict[int, _Bearer] = {}
         self._order: List[int] = []
         self._rr_next = 0
@@ -138,38 +114,21 @@ class LteCell:
         self._scheduler_running = True
         self.sim.schedule(0.0, self._subframe)
 
-    def _pick_grantee(self, backlogged: List[int]) -> int:
-        """Scheduling discipline: which backlogged UE owns this subframe."""
-        if self.scheduler == "rr":
-            n = len(self._order)
-            for offset in range(1, n + 1):
-                fid = self._order[(self._rr_next + offset) % n]
-                if self._bearers[fid].packets:
-                    self._rr_next = (self._rr_next + offset) % n
-                    return fid
-        if self.scheduler == "maxcqi":
-            return max(backlogged, key=lambda fid: self._bearers[fid].rate_bps)
-        # Proportional fair: instantaneous rate over smoothed throughput.
-        return max(
-            backlogged,
-            key=lambda fid: self._bearers[fid].rate_bps
-            / max(self._bearers[fid].avg_rate_bps, 1.0),
-        )
-
-    def _update_pf_averages(self, granted: int) -> None:
-        """Exponential smoothing of every UE's served throughput."""
-        beta = 1.0 / self.pf_window
-        for fid, bearer in self._bearers.items():
-            served = bearer.rate_bps if fid == granted else 0.0
-            bearer.avg_rate_bps = (1 - beta) * bearer.avg_rate_bps + beta * served
+    def _next_backlogged(self) -> Optional[int]:
+        """The next backlogged UE after the last grantee, in round-robin order."""
+        n = len(self._order)
+        for offset in range(1, n + 1):
+            fid = self._order[(self._rr_next + offset) % n]
+            if self._bearers[fid].packets:
+                self._rr_next = (self._rr_next + offset) % n
+                return fid
+        return None
 
     def _subframe(self) -> None:
-        backlogged = [fid for fid in self._order if self._bearers[fid].packets]
-        if not backlogged:
+        fid = self._next_backlogged()
+        if fid is None:
             self._scheduler_running = False
             return
-        fid = self._pick_grantee(backlogged)
-        self._update_pf_averages(fid)
         bearer = self._bearers[fid]
         budget_bits = int(bearer.rate_bps * SUBFRAME_S)
         deliver_at = self.sim.now + SUBFRAME_S

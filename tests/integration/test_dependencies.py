@@ -86,3 +86,24 @@ def test_bootstrap_and_decisions_load_no_pool_or_masked_arrays():
     loaded = _probe(_LEAN_PROBE)
     heavy = ("numpy.ma", "concurrent.futures")
     assert [name for name in loaded if name.startswith(heavy)] == []
+
+
+_MODULES_PROBE = """
+import json, sys
+import repro, repro.experiments.closedloop, repro.core.fleet
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_workload_path_loads_no_packet_level_reference():
+    """The discrete-event engine and the packet-level cells are the fluid
+    cells' test reference: the path every workload imports loads none of
+    them."""
+    loaded = _probe(_MODULES_PROBE)
+    reference = (
+        "repro.simulation", "repro.wireless.wifi", "repro.wireless.lte", "repro.wireless.dcf",
+    )
+    assert [
+        name for name in loaded
+        if name in reference or name.startswith("repro.simulation.")
+    ] == []

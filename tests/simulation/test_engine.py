@@ -31,25 +31,10 @@ class TestScheduling:
         assert seen == [5.0]
         assert sim.now == pytest.approx(5.0)
 
-    def test_schedule_at_absolute_time(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: sim.schedule_at(4.0, lambda: seen.append(sim.now)))
-        sim.run()
-        assert seen == [4.0]
-
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.schedule(-0.1, lambda: None)
-
-    def test_cancelled_event_skipped(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, lambda: fired.append("x"))
-        event.cancel()
-        sim.run()
-        assert fired == []
 
     def test_run_until_stops_before_future_events(self):
         sim = Simulator()
@@ -73,16 +58,6 @@ class TestScheduling:
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
 
-    def test_max_events_cap(self):
-        sim = Simulator()
-
-        def forever():
-            sim.schedule(1.0, forever)
-
-        sim.schedule(1.0, forever)
-        sim.run(max_events=10)
-        assert sim.events_dispatched == 10
-
     def test_exception_wrapped_with_time(self):
         sim = Simulator()
         sim.schedule(2.5, lambda: 1 / 0)
@@ -90,13 +65,6 @@ class TestScheduling:
             sim.run()
         assert exc_info.value.time == pytest.approx(2.5)
         assert isinstance(exc_info.value.original, ZeroDivisionError)
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        e = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        e.cancel()
-        assert sim.peek() == pytest.approx(2.0)
 
     def test_empty_run_returns_now(self):
         sim = Simulator()
@@ -124,24 +92,9 @@ class TestProcess:
             yield 1.0
             yield 1.0
 
-        p = sim.spawn(proc())
-        sim.run()
-        assert not p.alive
-
-    def test_interrupt_stops_process(self):
-        sim = Simulator()
-        ticks = []
-
-        def proc():
-            while True:
-                ticks.append(sim.now)
-                yield 1.0
-
-        p = sim.spawn(proc())
-        sim.schedule(2.5, p.interrupt)
-        sim.run(until=10.0)
-        assert ticks == [0.0, 1.0, 2.0]
-        assert not p.alive
+        sim.spawn(proc())
+        assert sim.run() == pytest.approx(2.0)
+        assert sim.peek() is None
 
     def test_invalid_yield_raises(self):
         sim = Simulator()

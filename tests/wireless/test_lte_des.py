@@ -58,3 +58,22 @@ class TestLteCell:
         narrow = _run([(LteFlowConfig(0, 30.0), 80e6)], bandwidth_hz=5e6, queue_limit=40)
         wide = _run([(LteFlowConfig(0, 30.0), 80e6)], bandwidth_hz=20e6, queue_limit=40)
         assert wide[0].throughput_bps > 2 * narrow[0].throughput_bps
+
+    def test_rr_serves_cell_edge(self):
+        # Round-robin time share: a cell-edge UE beside two good UEs is
+        # still served.
+        results = _run(
+            [(LteFlowConfig(i, snr), 40e6) for i, snr in enumerate([30.0, 30.0, 0.0])],
+            duration=2.0,
+            queue_limit=50,
+        )
+        assert results[2].throughput_bps > 0
+
+    def test_capacity_within_cqi15_ceiling(self):
+        peak = LteCell(Simulator()).bandwidth_hz * 5.5547 * 0.75  # CQI-15 ceiling
+        results = _run(
+            [(LteFlowConfig(0, 30.0), 40e6), (LteFlowConfig(1, 30.0), 40e6)],
+            duration=2.0,
+            queue_limit=50,
+        )
+        assert sum(q.throughput_bps for q in results.values()) <= peak * 1.05
