@@ -117,8 +117,9 @@ class AdmittanceClassifier:
         Observability handle (:class:`repro.obs.Obs`). The inert default
         records nothing and changes nothing; a recording handle times
         every retrain under the ``admittance.retrain`` span, counts
-        retrains and SMO pair rounds (``svm.smo.steps``), and logs phase
-        transitions as structured events.
+        retrains and SMO solver steps (``svm.smo.steps``: pair rounds
+        plus Newton steps), and logs phase transitions as structured
+        events.
     """
 
     def __init__(

@@ -40,11 +40,6 @@ _OBS_DOC_RELPATH = Path("docs") / "observability.md"
 _BACKTICK = re.compile(r"`([^`\n]+)`")
 _OBS_NAME = re.compile(r"^\.?[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)*$")
 
-# DET001 exempts the one module that is *supposed* to construct
-# generators: the seeded-stream registry.
-RNG_MODULE_SUFFIX = ("repro", "simulation", "rng.py")
-
-
 @dataclass(frozen=True)
 class PaperRef:
     """One paper reference found in free text."""

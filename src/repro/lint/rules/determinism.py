@@ -1,8 +1,8 @@
 """Determinism rules: DET001 (unseeded randomness), DET002 (set iteration).
 
-Every stochastic draw in this reproduction must flow through a
-:class:`repro.simulation.rng.RngRegistry` stream or an explicitly seeded
-``np.random.default_rng(seed)``, and no numeric result may depend on the
+Every stochastic draw in this reproduction must come from a numpy
+``Generator`` built by an explicitly seeded ``np.random.default_rng(seed)``
+and passed to the code that draws, and no numeric result may depend on the
 iteration order of an unordered container. These are the two properties
 that make ExCR learning and IQX fits bit-repeatable under a seed.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
-from repro.lint.context import RNG_MODULE_SUFFIX
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, register
 
@@ -46,13 +45,9 @@ class UnseededRandomness(Rule):
         "Draws from the stdlib `random` module, legacy `np.random.*` "
         "global-state functions, or an argument-less `default_rng()` are "
         "not tied to the experiment seed, so results cannot be reproduced. "
-        "Use `repro.simulation.rng.seeded_rng`/`RngRegistry` or pass an "
-        "explicit seed."
+        "Take a `np.random.Generator` parameter and pass it a seeded "
+        "`np.random.default_rng(seed)`."
     )
-
-    def should_check(self, module: "ModuleInfo") -> bool:
-        # The seeded-stream registry is the one sanctioned constructor site.
-        return module.path_parts()[-3:] != RNG_MODULE_SUFFIX
 
     def begin_module(self, module: "ModuleInfo") -> None:
         # Aliases for the stdlib random module, numpy, numpy.random, and
@@ -103,7 +98,7 @@ class UnseededRandomness(Rule):
                     module,
                     node,
                     f"call to stdlib `{name}` bypasses the experiment seed; "
-                    "use a seeded numpy Generator from repro.simulation.rng",
+                    "pass a seeded `np.random.default_rng(seed)` Generator instead",
                 )
             )
         elif not rest and head in self._from_random:
@@ -113,7 +108,8 @@ class UnseededRandomness(Rule):
                     module,
                     node,
                     f"call to stdlib `random.{origin}` bypasses the experiment "
-                    "seed; use a seeded numpy Generator from repro.simulation.rng",
+                    "seed; pass a seeded `np.random.default_rng(seed)` Generator "
+                    "instead",
                 )
             )
 
@@ -127,8 +123,8 @@ class UnseededRandomness(Rule):
                             module,
                             node,
                             "`default_rng()` without a seed draws from OS "
-                            "entropy; pass the experiment seed (or use "
-                            "repro.simulation.rng.seeded_rng)",
+                            "entropy; pass the experiment seed: "
+                            "`np.random.default_rng(seed)`",
                         )
                     )
             elif np_attr not in _NP_RANDOM_OK:
@@ -150,8 +146,8 @@ class UnseededRandomness(Rule):
                             module,
                             node,
                             "`default_rng()` without a seed draws from OS "
-                            "entropy; pass the experiment seed (or use "
-                            "repro.simulation.rng.seeded_rng)",
+                            "entropy; pass the experiment seed: "
+                            "`np.random.default_rng(seed)`",
                         )
                     )
             elif origin not in _NP_RANDOM_OK:

@@ -82,13 +82,6 @@ class TestDET001:
         )
         assert rule_lines(findings, "DET001") == []
 
-    def test_silent_in_the_rng_module_itself(self):
-        findings = run(
-            "import numpy as np\nr = np.random.default_rng()\n",
-            relpath="src/repro/simulation/rng.py",
-        )
-        assert rule_lines(findings, "DET001") == []
-
     def test_silent_on_unrelated_module_named_random(self):
         findings = run(
             """\
